@@ -172,20 +172,3 @@ def save_heatmap_pgm(path, matrix):
     with open(str(path) + ".json", "w") as fh:
         json.dump(sidecar, fh, indent=2, sort_keys=True)
 
-
-def save_heatmap_png(path, matrix):
-    """Optional PNG rendering (requires matplotlib)."""
-    try:
-        import matplotlib
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError as err:
-        raise RuntimeError("PNG export needs matplotlib installed") from err
-    matrix = np.asarray(matrix, dtype=np.float64)
-    vmax = float(np.max(np.abs(matrix))) or 1.0
-    fig, ax = plt.subplots(figsize=(4, 4))
-    ax.imshow(matrix, cmap="RdBu_r", vmin=-vmax, vmax=vmax)
-    ax.set_xticks([])
-    ax.set_yticks([])
-    fig.savefig(path, bbox_inches="tight", dpi=150)
-    plt.close(fig)

@@ -11,7 +11,6 @@ import sys
 
 
 def _add_common(parser):
-    parser.add_argument("--config", help="JSON file with RunConfig fields")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--data-root", default=None)
@@ -31,6 +30,7 @@ def build_parser():
 
     train = sub.add_parser("train", help="train a network and checkpoint it")
     _add_common(train)
+    train.add_argument("--config", help="JSON file with RunConfig fields")
     train.add_argument("--dataset", choices=["mnist", "cifar10"], default=None)
     train.add_argument("--task", choices=["classification", "reconstruction"],
                        default=None)

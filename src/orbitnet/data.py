@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .groups import linear_map_to_matrix, vec
+from .groups import linear_map_to_matrix
 
 PATCH = 6
 
@@ -269,7 +269,15 @@ def synthesize_mnist_like(root, n_train=6000, n_test=1000, seed=0):
 
 
 def synthesize_cifar10_like(root, n_train=6000, n_test=1000, seed=0):
-    """Write a procedurally generated color dataset in the binary batch format."""
+    """Write a procedurally generated color dataset in the binary batch format.
+
+    The training images are split into the five batch files in consecutive
+    chunks of near-equal size, so `n_train` must be at least 5.
+    """
+    if n_train < 5:
+        raise ValueError(
+            f"n_train={n_train} cannot fill the 5 batch files of the "
+            f"training split; the loader rejects an empty batch file")
     root = Path(root)
     out = root / "cifar-10-batches-bin"
     out.mkdir(parents=True, exist_ok=True)
@@ -294,11 +302,10 @@ def synthesize_cifar10_like(root, n_train=6000, n_test=1000, seed=0):
         return images, labels
 
     train_images, train_labels = make(n_train)
-    per = -(-n_train // 5)
-    for b in range(5):
-        lo, hi = b * per, min((b + 1) * per, n_train)
-        write_cifar_batch(out / f"data_batch_{b + 1}.bin",
-                          train_images[lo:hi], train_labels[lo:hi])
+    for name, images, labels in zip(
+            CIFAR_TRAIN_FILES, np.array_split(train_images, 5),
+            np.array_split(train_labels, 5)):
+        write_cifar_batch(out / name, images, labels)
     test_images, test_labels = make(n_test)
     write_cifar_batch(out / "test_batch.bin", test_images, test_labels)
 
@@ -318,14 +325,16 @@ def extract_patch(image, rng, size=PATCH):
 def rotate_patch(patch, theta_deg):
     """Rotate about the patch center with bilinear interpolation, zero fill.
 
-    Linear in the patch for fixed angle; quarter-turn multiples hit pixel
-    centers exactly and reduce to permutations.
+    Acts on the last two axes, so a [..., s, s] stack rotates plane by
+    plane. Linear in the patch for fixed angle; quarter-turn multiples hit
+    pixel centers exactly and reduce to permutations.
     """
     patch = np.asarray(patch, dtype=np.float64)
     s = patch.shape[-1]
     if theta_deg % 90 == 0:
         # quarter turns hit pixel centers exactly; skip interpolation
-        return np.rot90(patch, k=-int(theta_deg // 90) % 4).copy()
+        return np.rot90(patch, k=-int(theta_deg // 90) % 4,
+                        axes=(-2, -1)).copy()
     c = (s - 1) / 2.0
     theta = np.deg2rad(theta_deg)
     rows, cols = np.mgrid[0:s, 0:s]
@@ -340,7 +349,7 @@ def rotate_patch(patch, theta_deg):
 
     def sample(ii, jj):
         inside = (ii >= 0) & (ii < s) & (jj >= 0) & (jj < s)
-        values = patch[np.clip(ii, 0, s - 1), np.clip(jj, 0, s - 1)]
+        values = patch[..., np.clip(ii, 0, s - 1), np.clip(jj, 0, s - 1)]
         return np.where(inside, values, 0.0)
 
     return ((1 - fy) * (1 - fx) * sample(i0, j0)
@@ -352,8 +361,9 @@ def rotate_patch(patch, theta_deg):
 def avgpool_patch(patch, radius):
     """Same-size sliding-window mean with a square window of side `radius`.
 
-    Even windows are biased toward the top-left; border windows average the
-    in-bounds pixels only.
+    Acts on the last two axes of a [..., s, s] stack. Even windows are
+    biased toward the top-left; border windows average the in-bounds
+    pixels only.
     """
     patch = np.asarray(patch, dtype=np.float64)
     s = patch.shape[-1]
@@ -366,7 +376,8 @@ def avgpool_patch(patch, radius):
         r0, r1 = max(i + lo, 0), min(i + hi, s - 1)
         for j in range(s):
             c0, c1 = max(j + lo, 0), min(j + hi, s - 1)
-            out[i, j] = patch[r0:r1 + 1, c0:c1 + 1].mean()
+            out[..., i, j] = patch[..., r0:r1 + 1, c0:c1 + 1].mean(
+                axis=(-2, -1))
     return out
 
 
@@ -439,21 +450,17 @@ def transform_pair_dataset(images, transform, num_pairs, rng):
     """(vec(patch), vec(transform(patch))) pairs as rows of X and Y.
 
     Patches are drawn from random images at random positions; multichannel
-    patches contribute one sample per channel.
+    patches contribute one sample per channel, and the last patch may be
+    cut short. The transform runs once on the stacked planes.
     """
     n, c = images.shape[0], images.shape[1]
+    count = -(-num_pairs // c)
+    patches = np.empty((count, c, PATCH, PATCH))
+    for k in range(count):
+        patches[k] = extract_patch(images[int(rng.integers(0, n))], rng)
+    planes = patches.reshape(count * c, PATCH, PATCH)[:num_pairs]
     d = transform.size * transform.size
-    xs = np.empty((num_pairs, d))
-    ys = np.empty((num_pairs, d))
-    filled = 0
-    while filled < num_pairs:
-        image = images[int(rng.integers(0, n))]
-        patch = extract_patch(image, rng)
-        for ch in range(c):
-            if filled == num_pairs:
-                break
-            plane = patch[ch]
-            xs[filled] = vec(plane)
-            ys[filled] = vec(transform.apply(plane))
-            filled += 1
+    # vec stacks columns, i.e. the rows of each transposed plane
+    xs = planes.transpose(0, 2, 1).reshape(num_pairs, d)
+    ys = transform.apply(planes).transpose(0, 2, 1).reshape(num_pairs, d)
     return xs, ys

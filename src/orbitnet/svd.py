@@ -1,67 +1,32 @@
-"""Singular values of small square matrices, differentiable through the tape.
+"""Singular values of square matrices, differentiable through the tape.
 
-Decomposition is by one-sided Jacobi rotations on columns: cheap and
-accurate for the matrix sizes that appear here (at most 64x64). Ties
-between repeated singular values are resolved by the accumulated rotation
-basis, which is the eigenbasis of A^T A that the sweep converges to; the
-rule is deterministic for a given input.
+The decomposition is LAPACK's, through `np.linalg.svd`; `jacobi_svd` keeps
+the contract the rest of the package relies on: square finite input,
+descending singular values, V (not V^T) returned, and a zero column in U
+for every singular value that is exactly zero.
 """
 
 import numpy as np
 
 from .tensor import Tensor
 
-_MAX_DIM = 64
 
-
-def jacobi_svd(a, tol=1e-13, max_sweeps=60):
+def jacobi_svd(a):
     """Full SVD of a square matrix: returns (U, s, V) with a = U @ diag(s) @ V.T.
 
     Singular values come back sorted descending. Zero singular values get a
     zero column in U (any unit vector would be a valid completion; none of
-    the uses here need one).
+    the uses here need one), so their subgradient in `singular_values` is
+    zero.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix contains non-finite entries")
-    n = a.shape[0]
-    if n > _MAX_DIM:
-        raise ValueError(f"matrix dimension {n} exceeds supported {_MAX_DIM}")
-    b = a.copy()
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app = b[:, p] @ b[:, p]
-                aqq = b[:, q] @ b[:, q]
-                apq = b[:, p] @ b[:, q]
-                if abs(apq) <= tol * np.sqrt(app * aqq):
-                    continue
-                off = max(off, abs(apq))
-                zeta = (aqq - app) / (2.0 * apq)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                bp = b[:, p].copy()
-                b[:, p] = c * bp - s * b[:, q]
-                b[:, q] = s * bp + c * b[:, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-        if off == 0.0:
-            break
-    sigma = np.sqrt(np.sum(b * b, axis=0))
-    order = np.argsort(sigma)[::-1]
-    sigma = sigma[order]
-    b = b[:, order]
-    v = v[:, order]
-    u = np.zeros_like(b)
-    nonzero = sigma > 0
-    u[:, nonzero] = b[:, nonzero] / sigma[nonzero]
-    return u, sigma, v
+    u, sigma, vt = np.linalg.svd(a)
+    u[:, sigma == 0.0] = 0.0
+    return u, sigma, vt.T
 
 
 def singular_values(a):

@@ -287,8 +287,9 @@ class TestCriterion4:
 
 class TestCriterion5:
     def test_synthetic_recovery(self, cifar):
-        # pairs come from applying the actual geometric transform patch by
-        # patch; the analytic operator is the independent reference
+        # pairs come from applying the actual geometric transform to the
+        # stacked patch planes, never the operator matrix; the analytic
+        # operator is the independent reference
         lstsq_ok = True
         worst_cell = ("", 0.0)
         for transform in paper_transform_grid():

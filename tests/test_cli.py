@@ -132,6 +132,14 @@ class TestSyntheticCommand:
         a = load_csv(out / f"{cell['label']}_analytic.csv")
         np.testing.assert_allclose(a, np.eye(36), atol=1e-12)
 
+    def test_config_flag_rejected(self, tmp_path, capsys):
+        # the grid takes no RunConfig, so a config file would be ignored
+        with pytest.raises(SystemExit):
+            main(["synthetic", "--config", str(self_config(tmp_path)),
+                  "--out", str(tmp_path / "syn")])
+        assert "--config" in capsys.readouterr().err
+        assert not (tmp_path / "syn").exists()
+
     def test_rerun_same_seed_byte_identical_manifest(self, tmp_path):
         kwargs = dict(data_root=tmp_path / "data", data_source="synthetic",
                       num_pairs=120, holdout=30, epochs=3, seed=11,

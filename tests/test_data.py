@@ -12,6 +12,7 @@ from orbitnet.data import (DatasetFormatError, PatchTransform,
                            transform_pair_dataset, write_cifar_batch,
                            write_idx)
 from orbitnet.groups import vec
+from orbitnet.train import paper_transform_grid
 
 REAL_MNIST = os.environ.get("ORBITNET_MNIST_DIR")
 REAL_CIFAR = os.environ.get("ORBITNET_CIFAR_DIR")
@@ -62,6 +63,19 @@ class TestSyntheticStandIns:
         ds = load_cifar10(tmp_path, "train")
         assert ds.images.shape == (25, 3, 32, 32)
         assert load_cifar10(tmp_path, "test").images.shape == (10, 3, 32, 32)
+
+    def test_cifar_like_uneven_split_fills_every_batch(self, tmp_path):
+        # 16 images used to leave data_batch_5 empty (ceil(16/5) = 4 per file)
+        synthesize_cifar10_like(tmp_path, n_train=16, n_test=4, seed=1)
+        out = tmp_path / "cifar-10-batches-bin"
+        sizes = [(out / f"data_batch_{i}.bin").stat().st_size // 3073
+                 for i in range(1, 6)]
+        assert sizes == [4, 3, 3, 3, 3]
+        assert load_cifar10(tmp_path, "train").images.shape == (16, 3, 32, 32)
+
+    def test_cifar_like_rejects_fewer_images_than_batches(self, tmp_path):
+        with pytest.raises(ValueError, match="n_train=4.*5 batch files"):
+            synthesize_cifar10_like(tmp_path, n_train=4, n_test=4)
 
     def test_cifar_truncated_record_rejected(self, tmp_path, rng):
         out = tmp_path / "cifar-10-batches-bin"
@@ -315,6 +329,45 @@ class TestPatchTransform:
             assert np.all(op >= 0.0)
             np.testing.assert_allclose(op.sum(axis=1), np.ones(36),
                                        atol=1e-12)
+
+
+def reference_pairs(images, transform, num_pairs, rng):
+    """Per-plane pair loop: one image/position draw per patch, then one
+    transform call per channel plane."""
+    n, c = images.shape[0], images.shape[1]
+    xs, ys = [], []
+    while len(xs) < num_pairs:
+        patch = extract_patch(images[int(rng.integers(0, n))], rng)
+        for plane in patch[:num_pairs - len(xs)]:
+            xs.append(vec(plane))
+            ys.append(vec(transform.apply(plane)))
+    return np.array(xs).reshape(num_pairs, 36), \
+        np.array(ys).reshape(num_pairs, 36)
+
+
+class TestBatchedTransforms:
+    def test_stack_equals_patch_by_patch_on_every_grid_cell(self, rng):
+        stack = rng.random((50, 6, 6))
+        for t in paper_transform_grid():
+            batched = t.apply(stack)
+            per_patch = np.stack([t.apply(p) for p in stack])
+            assert np.array_equal(batched, per_patch), t.label()
+
+    @pytest.mark.parametrize("channels,num_pairs",
+                             [(1, 40), (3, 40), (3, 7)])
+    def test_pairs_equal_per_plane_reference(self, channels, num_pairs,
+                                             rng):
+        images = rng.random((5, channels, 11, 13))
+        for t in (PatchTransform.rotation(30.0), PatchTransform.pooling(4),
+                  PatchTransform.composition(5, 60.0)):
+            got_rng = np.random.default_rng(17)
+            ref_rng = np.random.default_rng(17)
+            got = transform_pair_dataset(images, t, num_pairs, got_rng)
+            ref = reference_pairs(images, t, num_pairs, ref_rng)
+            assert np.array_equal(got[0], ref[0])
+            assert np.array_equal(got[1], ref[1])
+            # both consumed the same draws, so later draws agree too
+            assert got_rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
 
 
 class TestTransformPairs:

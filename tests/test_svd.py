@@ -1,4 +1,5 @@
-"""One-sided Jacobi SVD against the symmetric-eigenvalue oracle."""
+"""`jacobi_svd` (LAPACK SVD behind the package contract) against the
+symmetric-eigenvalue oracle, and the singular-value gradients."""
 
 import numpy as np
 import pytest
@@ -38,13 +39,23 @@ class TestJacobiSvd:
         s = jacobi_svd(a)[1]
         assert s[-1] == pytest.approx(0.0, abs=1e-12)
 
+    def test_exact_zero_singular_value_has_zero_u_column(self):
+        u, s, v = jacobi_svd(np.diag([2.0, 0.0]))
+        np.testing.assert_array_equal(s, [2.0, 0.0])
+        np.testing.assert_array_equal(u[:, 1], [0.0, 0.0])
+        np.testing.assert_allclose(np.abs(u[:, 0]), [1.0, 0.0])
+        np.testing.assert_allclose(u @ np.diag(s) @ v.T, np.diag([2.0, 0.0]))
+
     def test_rejects_non_square(self, rng):
         with pytest.raises(ValueError):
             jacobi_svd(rng.standard_normal((3, 4)))
 
-    def test_rejects_oversized(self, rng):
-        with pytest.raises(ValueError):
-            jacobi_svd(rng.standard_normal((65, 65)))
+    def test_filter_generator_10x10_matches_eigen_oracle(self, rng):
+        # a 100x100 generator acts on 10x10 filters; no size cap applies
+        a = rng.standard_normal((100, 100))
+        s = jacobi_svd(a)[1]
+        oracle = np.sqrt(np.sort(np.linalg.eigvalsh(a.T @ a))[::-1])
+        np.testing.assert_allclose(s, oracle, atol=1e-8)
 
     def test_rejects_non_finite(self):
         a = np.eye(3)
