@@ -5,117 +5,93 @@ spatial size equals input size ((k-1)//2 before, k//2 after). The adjoint
 is the exact transpose of the forward map, verified by the inner-product
 identity <corr(x, w), y> == <x, adjoint(y, w)>.
 
-Two equivalent evaluation strategies are used, picked per call to keep the
-k*k data duplication on the cheaper side:
-  * gather (im2col): materialize input windows, one GEMM. Good when the
-    input channel count is small.
-  * scatter: one GEMM against all kernel taps, then a strided
-    diagonal-window reduction. Good when the output channel count is
-    small.
-Padded/transposed intermediates are cached per op so the kernel-gradient
-pass reuses the forward's work.
+Every kernel works on one channel-major layout: the input is zero-padded
+straight into a [C, N, Hp, Wp] buffer, so each kernel tap is a plain
+slice of it and every contraction is a single GEMM. Two equivalent
+evaluation strategies are picked per call to keep the k*k data
+duplication on the side with fewer channels:
+  * gather (im2col, Chellapilla et al. 2006): kh*kw slice copies build
+    cols[C*kh*kw, N*H*W], then one GEMM. Used when the input has no more
+    channels than the output.
+  * scatter: one tap-major GEMM [kh*kw*O, C] @ [C, N*Hp*Wp], then kh*kw
+    shifted slice adds. Used when the output has fewer channels.
+The kernel gradient follows the same rule. Only the padded input is kept
+from forward to backward; `cols` is rebuilt when needed.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Tensor
 
 
-def _pad2d(x, pt, pb, pl, pr):
+def _pad(x, pt, pl, kh, kw):
+    """x [N,C,H,W] zero-padded for a kh x kw window, as [C, N, Hp, Wp]."""
     n, c, h, w = x.shape
-    out = np.zeros((n, c, h + pt + pb, w + pl + pr), dtype=x.dtype)
-    out[:, :, pt:pt + h, pl:pl + w] = x
-    return out
+    xp = np.zeros((c, n, h + kh - 1, w + kw - 1), dtype=x.dtype)
+    xp[:, :, pt:pt + h, pl:pl + w] = x.transpose(1, 0, 2, 3)
+    return xp
 
 
-def _windows(xp, out_h, out_w, kh, kw):
-    """Strided view [N, C, out_h, out_w, kh, kw] over a padded array."""
-    n, c = xp.shape[:2]
-    sn, sc, sh, sw = xp.strides
-    return as_strided(xp, (n, c, out_h, out_w, kh, kw),
-                      (sn, sc, sh, sw, sh, sw))
+def _cols(xp, kh, kw, h, w):
+    """im2col: cols[(c, u, v), (n, i, j)] = xp[c, n, i + u, j + v]."""
+    c, n = xp.shape[:2]
+    cols = np.empty((c, kh, kw, n, h, w), dtype=xp.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            cols[:, u, v] = xp[:, :, u:u + h, v:v + w]
+    return cols.reshape(c * kh * kw, n * h * w)
 
 
-class _Prep:
-    """Padded input plus its lazily built channels-last transpose."""
-
-    def __init__(self, x, pt, pb, pl, pr):
-        self.xp = _pad2d(x, pt, pb, pl, pr)
-        self._xt = None
-
-    @property
-    def xt(self):
-        if self._xt is None:
-            self._xt = np.ascontiguousarray(self.xp.transpose(0, 2, 3, 1))
-        return self._xt
-
-
-def _corr_gather(prep, w, out_h, out_w):
-    win = _windows(prep.xp, out_h, out_w, *w.shape[2:])
-    # contraction over (C, kh, kw); copies the window view once
-    y = np.tensordot(win, w, axes=([1, 4, 5], [1, 2, 3]))
-    return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
-
-
-def _corr_scatter(prep, w, out_h, out_w):
-    xt = prep.xt
-    n, hp, wp, c = xt.shape
+def _corr(xp, w, h, wd):
+    """Correlation of padded xp [C,N,Hp,Wp] with w [O,C,kh,kw]: [N,O,h,wd]."""
+    c, n, hp, wp = xp.shape
     o, _, kh, kw = w.shape
-    taps = w.transpose(1, 0, 2, 3).reshape(c, o * kh * kw)
-    full = (xt.reshape(-1, c) @ taps).reshape(n, hp, wp, o, kh, kw)
-    # y[n,i,j,o] = sum_{u,v} full[n, i+u, j+v, o, u, v]: a diagonal window
-    # expressible with strides, so the tap reduction is one numpy sum
-    sn, sh, sw, so, su, sv = full.strides
-    win = as_strided(full, (n, out_h, out_w, o, kh, kw),
-                     (sn, sh, sw, so, sh + su, sw + sv))
-    return np.ascontiguousarray(win.sum(axis=(4, 5)).transpose(0, 3, 1, 2))
-
-
-def _corr2d_prepped(prep, w, out_h, out_w):
-    c, o = prep.xp.shape[1], w.shape[0]
-    # k*k duplication lands on the window copy (gather) or the tap GEMM
-    # output (scatter); route it to the smaller channel count
     if c <= o:
-        return _corr_gather(prep, w, out_h, out_w)
-    return _corr_scatter(prep, w, out_h, out_w)
+        y = (w.reshape(o, -1) @ _cols(xp, kh, kw, h, wd)).reshape(o, n, h, wd)
+    else:
+        taps = w.transpose(2, 3, 0, 1).reshape(kh * kw * o, c)
+        full = (taps @ xp.reshape(c, -1)).reshape(kh, kw, o, n, hp, wp)
+        # y[o, n, i, j] = sum_{u,v} full[u, v, o, n, i+u, j+v]
+        y = full[0, 0, :, :, :h, :wd].copy()
+        for u in range(kh):
+            for v in range(kw):
+                if u or v:
+                    y += full[u, v, :, :, u:u + h, v:v + wd]
+    return np.ascontiguousarray(y.transpose(1, 0, 2, 3))
 
 
-def _check_shapes(x, w):
-    n, c, h, wd = x.shape
-    o, cw, kh, kw = w.shape
-    if c != cw:
-        raise ValueError(f"channel mismatch: input has {c}, kernel expects {cw}")
-    if kh > h or kw > wd:
-        raise ValueError(f"kernel {kh}x{kw} larger than input {h}x{wd}")
+def _corr_grad_w(xp, g, kh, kw):
+    """Gradient of _corr(xp, w) w.r.t. the kernel [O, C, kh, kw]."""
+    c, n, hp, wp = xp.shape
+    o, h, wd = g.shape[1:]
+    gt = g.transpose(1, 0, 2, 3)
+    if c <= o:
+        gw = np.ascontiguousarray(gt).reshape(o, -1) @ \
+            _cols(xp, kh, kw, h, wd).T
+        return gw.reshape(o, c, kh, kw)
+    # spread g over a tap-major buffer, then one GEMM against the input
+    gfull = np.zeros((o, kh, kw, n, hp, wp), dtype=g.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            gfull[:, u, v, :, u:u + h, v:v + wd] = gt
+    gw = gfull.reshape(o * kh * kw, -1) @ xp.reshape(c, -1).T
+    return np.ascontiguousarray(gw.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
 
 
 def _corr2d(x, w, pt, pl):
     """Same-size correlation of x [N,C,H,W] with w [O,C,kh,kw]."""
-    _check_shapes(x, w)
     kh, kw = w.shape[2:]
-    prep = _Prep(x, pt, kh - 1 - pt, pl, kw - 1 - pl)
-    return _corr2d_prepped(prep, w, x.shape[2], x.shape[3])
+    return _corr(_pad(x, pt, pl, kh, kw), w, x.shape[2], x.shape[3])
 
 
-def _corr2d_grad_w(prep, gy, c, o, kh, kw):
-    """Gradient of the prepped correlation w.r.t. the kernel [O, C, kh, kw]."""
-    n = gy.shape[0]
-    h, wd = gy.shape[2:]
-    if c <= o:
-        win = _windows(prep.xp, h, wd, kh, kw)
-        return np.tensordot(gy, win, axes=([0, 2, 3], [0, 2, 3]))
-    # spread gy over the tap axes, then a single GEMM against the padded input
-    xt = prep.xt
-    hp, wp = xt.shape[1:3]
-    gfull = np.zeros((n, hp, wp, o, kh, kw), dtype=gy.dtype)
-    gy_t = gy.transpose(0, 2, 3, 1)
-    for u in range(kh):
-        for v in range(kw):
-            gfull[:, u:u + h, v:v + wd, :, u, v] = gy_t
-    gw = gfull.reshape(-1, o * kh * kw).T @ xt.reshape(-1, c)
-    return np.ascontiguousarray(
-        gw.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
+def _check_shapes(x, c, kh, kw):
+    """x [N,C,H,W] must have c channels and room for a kh x kw kernel."""
+    if x.shape[1] != c:
+        raise ValueError(
+            f"channel mismatch: input has {x.shape[1]}, bank expects {c}")
+    if kh > x.shape[2] or kw > x.shape[3]:
+        raise ValueError(
+            f"kernel {kh}x{kw} larger than input {x.shape[2]}x{x.shape[3]}")
 
 
 def _swap_flip(w):
@@ -126,19 +102,19 @@ def conv2d_same(x, w):
     """Correlate x [N,C,H,W] with bank w [O,C,k,k] at stride 1, same size."""
     x = Tensor._lift(x)
     w = Tensor._lift(w)
-    _check_shapes(x.data, w.data)
-    n, c, h, wd = x.shape
-    o, _, kh, kw = w.shape
+    h, wd = x.shape[2:]
+    kh, kw = w.shape[2:]
+    _check_shapes(x, w.shape[1], kh, kw)
     pt, pl = (kh - 1) // 2, (kw - 1) // 2
-    prep = _Prep(x.data, pt, kh - 1 - pt, pl, kw - 1 - pl)
-    y = _corr2d_prepped(prep, w.data, h, wd)
+    xp = _pad(x.data, pt, pl, kh, kw)
+    y = _corr(xp, w.data, h, wd)
 
     def backward(g):
         if x.requires_grad:
             x._accumulate(_corr2d(g, _swap_flip(w.data),
                                   kh - 1 - pt, kw - 1 - pl))
         if w.requires_grad:
-            w._accumulate(_corr2d_grad_w(prep, g, c, o, kh, kw))
+            w._accumulate(_corr_grad_w(xp, g, kh, kw))
     return Tensor._result(y, (x, w), backward)
 
 
@@ -147,23 +123,17 @@ def conv2d_adjoint(y, w):
     y = Tensor._lift(y)
     w = Tensor._lift(w)
     o, c, kh, kw = w.shape
-    if y.shape[1] != o:
-        raise ValueError(
-            f"channel mismatch: input has {y.shape[1]}, bank produces {o}")
-    if kh > y.shape[2] or kw > y.shape[3]:
-        raise ValueError(
-            f"kernel {kh}x{kw} larger than input {y.shape[2]}x{y.shape[3]}")
+    _check_shapes(y, o, kh, kw)
     h, wd = y.shape[2:]
     pt, pl = kh // 2, kw // 2
-    prep = _Prep(y.data, pt, kh - 1 - pt, pl, kw - 1 - pl)
-    x = _corr2d_prepped(prep, _swap_flip(w.data), h, wd)
+    yp = _pad(y.data, pt, pl, kh, kw)
+    x = _corr(yp, _swap_flip(w.data), h, wd)
 
     def backward(g):
         if y.requires_grad:
             y._accumulate(_corr2d(g, w.data, kh - 1 - pt, kw - 1 - pl))
         if w.requires_grad:
-            gwt = _corr2d_grad_w(prep, g, o, c, kh, kw)
-            w._accumulate(_swap_flip(gwt))
+            w._accumulate(_swap_flip(_corr_grad_w(yp, g, kh, kw)))
     return Tensor._result(x, (y, w), backward)
 
 

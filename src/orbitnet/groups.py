@@ -131,13 +131,14 @@ def invertibility_loss(action, mu, squared=False):
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     d = action.a.shape[0]
-    residual = action.a @ action.a_tilde - np.eye(d)
+    residual = action.a @ action.a_tilde - np.eye(d, dtype=action.a.dtype)
     if squared:
         return mu * (residual * residual).sum()
     return mu * frobenius_norm(residual)
 
 
-_SIGMA_FLOOR = np.finfo(np.float64).eps
+# a Python float, so that it keeps a float32 penalty in float32
+_SIGMA_FLOOR = float(np.finfo(np.float64).eps)
 
 
 def svd_invertibility_loss(action, mu, variant="sum"):
@@ -154,7 +155,7 @@ def svd_invertibility_loss(action, mu, variant="sum"):
     if variant == "sum":
         return -mu * sigma.sum()
     if variant == "logdet":
-        mask = (sigma.data > _SIGMA_FLOOR).astype(np.float64)
+        mask = (sigma.data > _SIGMA_FLOOR).astype(sigma.dtype)
         if not mask.all():
             warnings.warn(
                 "singular value at machine epsilon; log-product penalty "

@@ -281,16 +281,25 @@ def task_loss(net, x, labels=None):
 def training_loss(net, x, labels=None, mu=0.0, loss_variant="aux_inverse",
                   squared_frobenius=False):
     """Task loss plus the selected invertibility penalty over all groups."""
-    loss = task_loss(net, x, labels)
+    return add_invertibility_penalty(net, task_loss(net, x, labels), mu,
+                                     loss_variant, squared_frobenius)
+
+
+_SVD_VARIANTS = {"svd_sum": "sum", "svd_logdet": "logdet"}
+
+
+def add_invertibility_penalty(net, loss, mu, loss_variant="aux_inverse",
+                              squared_frobenius=False):
+    """`loss` plus the selected penalty of every group action, one at a time."""
+    if loss_variant != "aux_inverse" and loss_variant not in _SVD_VARIANTS:
+        raise ValueError(f"unknown loss variant: {loss_variant!r}")
     if mu == 0.0:
         return loss
     for _, _, action in net.group_actions():
         if loss_variant == "aux_inverse":
             loss = loss + invertibility_loss(action, mu,
                                              squared=squared_frobenius)
-        elif loss_variant in ("svd_sum", "svd_logdet"):
-            variant = "sum" if loss_variant == "svd_sum" else "logdet"
-            loss = loss + svd_invertibility_loss(action, mu, variant=variant)
         else:
-            raise ValueError(f"unknown loss variant: {loss_variant!r}")
+            loss = loss + svd_invertibility_loss(
+                action, mu, variant=_SVD_VARIANTS[loss_variant])
     return loss

@@ -9,7 +9,10 @@ single training run (see the concurrency notes in the README).
 
 Default precision is float64. float32 is supported for training by
 constructing parameters with ``dtype=np.float32``; gradients follow the
-data dtype.
+data dtype. A Python ``int`` or ``float`` met by a binary op (``alpha * t``,
+``var + eps``, ``1.0 - t``) is lifted in the dtype of the other operand, so
+a float32 graph stays float32: under NumPy 2 promotion rules a float64 0-d
+array would upcast everything it touches. Arrays keep their own dtype.
 """
 
 from contextlib import contextmanager
@@ -90,8 +93,13 @@ class Tensor:
     # -- graph construction -------------------------------------------------
 
     @staticmethod
-    def _lift(x):
-        return x if isinstance(x, Tensor) else Tensor(x)
+    def _lift(x, like=None):
+        """Wrap x as a Tensor; a Python int or float takes `like`'s dtype."""
+        if isinstance(x, Tensor):
+            return x
+        if like is not None and isinstance(x, (int, float)):
+            return Tensor(np.asarray(x, dtype=like.dtype))
+        return Tensor(x)
 
     @staticmethod
     def _result(data, parents, backward):
@@ -141,7 +149,7 @@ class Tensor:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = Tensor._lift(other)
+        other = Tensor._lift(other, self)
         a, b = self, other
 
         def backward(g):
@@ -161,7 +169,7 @@ class Tensor:
         return Tensor._result(-a.data, (a,), backward)
 
     def __sub__(self, other):
-        other = Tensor._lift(other)
+        other = Tensor._lift(other, self)
         a, b = self, other
 
         def backward(g):
@@ -172,10 +180,10 @@ class Tensor:
         return Tensor._result(a.data - b.data, (a, b), backward)
 
     def __rsub__(self, other):
-        return Tensor._lift(other) - self
+        return Tensor._lift(other, self) - self
 
     def __mul__(self, other):
-        other = Tensor._lift(other)
+        other = Tensor._lift(other, self)
         a, b = self, other
 
         def backward(g):
@@ -188,7 +196,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Tensor._lift(other)
+        other = Tensor._lift(other, self)
         a, b = self, other
 
         def backward(g):
@@ -200,7 +208,7 @@ class Tensor:
         return Tensor._result(a.data / b.data, (a, b), backward)
 
     def __rtruediv__(self, other):
-        return Tensor._lift(other) / self
+        return Tensor._lift(other, self) / self
 
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
@@ -212,7 +220,7 @@ class Tensor:
         return Tensor._result(a.data ** p, (a,), backward)
 
     def __matmul__(self, other):
-        other = Tensor._lift(other)
+        other = Tensor._lift(other, self)
         a, b = self, other
         if a.ndim > 2 or b.ndim > 2:
             raise ValueError("matmul supports 1-D and 2-D operands only")
@@ -314,7 +322,7 @@ def soft_threshold(u, lam, one_sided=False):
     the kinks is taken as zero.
     """
     u = Tensor._lift(u)
-    lam = Tensor._lift(lam)
+    lam = Tensor._lift(lam, u)
     if np.any(lam.data < 0):
         raise ValueError("soft_threshold requires lam >= 0 elementwise")
     if one_sided:

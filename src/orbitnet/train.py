@@ -19,8 +19,8 @@ from .analysis import (dft_conjugate, identity_probe, save_csv,
                        save_heatmap_pgm, structure_report)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
-from .groups import GroupAction, invertibility_loss, order_defect
-from .network import UnfoldedNetwork, task_loss
+from .groups import GroupAction, order_defect
+from .network import UnfoldedNetwork, add_invertibility_penalty, task_loss
 from .optim import Adam, lr_at
 from .probe import analytic_operator, fit_action_gd, fit_action_lstsq
 from .tensor import Tensor
@@ -139,19 +139,8 @@ def run_training(cfg: RunConfig, out_dir=None):
 
 def training_loss_from_task(net, task, cfg: RunConfig):
     """Attach the configured invertibility penalty to an existing task loss."""
-    from .groups import svd_invertibility_loss
-    if cfg.mu == 0.0:
-        return task
-    total = task
-    for _, _, action in net.group_actions():
-        if cfg.loss_variant == "aux_inverse":
-            total = total + invertibility_loss(
-                action, cfg.mu, squared=cfg.squared_frobenius)
-        else:
-            variant = "sum" if cfg.loss_variant == "svd_sum" else "logdet"
-            total = total + svd_invertibility_loss(action, cfg.mu,
-                                                   variant=variant)
-    return total
+    return add_invertibility_penalty(net, task, cfg.mu, cfg.loss_variant,
+                                     cfg.squared_frobenius)
 
 
 # -- synthetic probe driver ------------------------------------------------------

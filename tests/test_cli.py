@@ -1,6 +1,9 @@
 """End-to-end command drivers: train, synthetic grid, analyze."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -103,6 +106,55 @@ class TestTraining:
             main(["train", "--epochs", "-3",
                   "--out", str(tmp_path / "bad")])
         assert not (tmp_path / "bad").exists()
+
+
+# Records OPENBLAS_NUM_THREADS at the moment numpy is first imported, runs
+# the CLI, then reads the thread count of the BLAS that numpy loaded, where
+# that library exports its getter.
+THREAD_PROBE = """
+import ctypes, glob, json, os, sys
+seen = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+sys.meta_path.insert(0, Spy())
+from orbitnet.cli import main
+main(sys.argv[1:])
+import numpy
+libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)),
+                    "numpy.libs", "libscipy_openblas64_*.so")
+blas = [ctypes.CDLL(p).scipy_openblas_get_num_threads64_()
+        for p in glob.glob(libs)]
+print(json.dumps({"env_at_numpy_import": seen, "blas_threads": blas}))
+"""
+
+
+class TestThreads:
+    @staticmethod
+    def clean_env():
+        return {k: v for k, v in os.environ.items()
+                if not k.endswith("_NUM_THREADS")}
+
+    def test_cli_import_loads_no_numpy(self):
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, orbitnet.cli; print('numpy' in sys.modules)"],
+            env=self.clean_env(), capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
+
+    def test_threads_flag_applies_before_numpy_loads(self, tmp_path):
+        out = subprocess.run(
+            [sys.executable, "-c", THREAD_PROBE, "train", "--threads", "1",
+             "--epochs", "0", "--data-root", str(tmp_path / "d"),
+             "--data-source", "synthetic", "--out", str(tmp_path / "run"),
+             "--config", str(self_config(tmp_path))],
+            env=self.clean_env(), capture_output=True, text=True, check=True)
+        probe = json.loads(out.stdout.splitlines()[-1])
+        assert probe["env_at_numpy_import"] == ["1"]
+        assert all(n == 1 for n in probe["blas_threads"])
 
 
 def self_config(tmp_path):

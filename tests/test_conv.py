@@ -24,6 +24,30 @@ def naive_corr_same(x, w):
     return out
 
 
+def naive_adjoint_same(y, w):
+    """Reference adjoint: each output pixel spreads its window back."""
+    n, o, h, wd = y.shape
+    _, c, kh, kw = w.shape
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
+    xp = np.zeros((n, c, h + kh - 1, wd + kw - 1))
+    for ni in range(n):
+        for oi in range(o):
+            for i in range(h):
+                for j in range(wd):
+                    xp[ni, :, i:i + kh, j:j + kw] += y[ni, oi, i, j] * w[oi]
+    return xp[:, :, pt:pt + h, pl:pl + wd]
+
+
+# (n, c, h, w, o, k): each kernel runs the gather route when its input has
+# no more channels than its output, the scatter route otherwise
+SHAPES = [(2, 1, 7, 7, 4, 3),     # c < o, odd kernel
+          (3, 4, 8, 6, 2, 5),     # c > o, odd kernel
+          (1, 5, 9, 9, 5, 6),     # c == o, even kernel
+          (2, 2, 6, 6, 7, 2),     # c < o, even kernel
+          (2, 4, 7, 7, 3, 2),     # c > o, even kernel
+          (2, 1, 6, 6, 20, 6)]    # the training ratio: one channel, many filters
+
+
 class TestConvForward:
     def test_identity_1x1_kernel(self, rng):
         x = rng.standard_normal((2, 3, 5, 5))
@@ -40,16 +64,21 @@ class TestConvForward:
         # interior pixels see the full window
         np.testing.assert_allclose(y[0, 0, 1:-1, 1:-1], 9 * c)
 
-    @pytest.mark.parametrize("shape", [(2, 1, 7, 7, 4, 3),
-                                       (3, 4, 8, 6, 2, 5),
-                                       (1, 5, 9, 9, 5, 6),
-                                       (2, 2, 6, 6, 7, 2)])
+    @pytest.mark.parametrize("shape", SHAPES)
     def test_matches_naive(self, shape, rng):
         n, c, h, wd, o, k = shape
         x = rng.standard_normal((n, c, h, wd))
         w = rng.standard_normal((o, c, k, k))
         np.testing.assert_allclose(conv2d_same(x, w).data,
                                    naive_corr_same(x, w), atol=1e-12)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_adjoint_matches_naive(self, shape, rng):
+        n, c, h, wd, o, k = shape
+        y = rng.standard_normal((n, o, h, wd))
+        w = rng.standard_normal((o, c, k, k))
+        np.testing.assert_allclose(conv2d_adjoint(y, w).data,
+                                   naive_adjoint_same(y, w), atol=1e-12)
 
     def test_channel_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -101,6 +130,47 @@ class TestConvGradients:
         w = parameter(rng.standard_normal((3, 2, 4, 4)))
         check_gradients(lambda: (conv2d_adjoint(y, w) ** 2).sum(),
                         {"y": y, "w": w})
+
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_both_ops_gradcheck_on_both_routes(self, shape, rng):
+        n, c, h, wd, o, k = shape
+        x = parameter(rng.standard_normal((n, c, h, wd)))
+        y = parameter(rng.standard_normal((n, o, h, wd)))
+        w = parameter(rng.standard_normal((o, c, k, k)))
+        check_gradients(lambda: (conv2d_same(x, w) ** 2).sum(),
+                        {"x": x, "w": w})
+        check_gradients(lambda: (conv2d_adjoint(y, w) ** 2).sum(),
+                        {"y": y, "w": w})
+
+    @pytest.mark.parametrize("shape", [(2, 1, 6, 6, 20, 6),
+                                       (2, 4, 7, 7, 3, 2)])
+    def test_float32_stays_float32(self, shape, rng, monkeypatch):
+        n, c, h, wd, o, k = shape
+        x64 = rng.standard_normal((n, c, h, wd))
+        y64 = rng.standard_normal((n, o, h, wd))
+        w64 = rng.standard_normal((o, c, k, k))
+        # record what the backward kernels emit, before any cast to the
+        # parameter's dtype
+        emitted = []
+        accumulate = Tensor._accumulate
+
+        def spy(t, g):
+            emitted.append(np.asarray(g).dtype)
+            accumulate(t, g)
+        monkeypatch.setattr(Tensor, "_accumulate", spy)
+        for op, a64 in ((conv2d_same, x64), (conv2d_adjoint, y64)):
+            a = parameter(a64, dtype=np.float32)
+            w = parameter(w64, dtype=np.float32)
+            out = op(a, w)
+            assert out.dtype == np.float32
+            emitted.clear()
+            out._backward(np.ones_like(out.data))
+            assert emitted == [np.float32, np.float32]
+            assert a.grad.dtype == w.grad.dtype == np.float32
+            ref = op(a64, w64).data
+            np.testing.assert_allclose(out.data, ref,
+                                       atol=1e-5 * np.abs(ref).max())
 
 
 class TestAvgPool:

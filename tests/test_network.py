@@ -322,3 +322,70 @@ class TestEndToEndGradients:
             return training_loss(net, x, mu=0.001)
 
         check_gradients(loss, net.parameters(), rtol=1e-4)
+
+
+def _tape(loss):
+    """Every tensor reachable from `loss` through `_parents`."""
+    seen, stack, out = set(), [loss], []
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            out.append(t)
+            stack.extend(t._parents)
+    return out
+
+
+class TestFloat32Tape:
+    """A float32 network computes in float32 from the input to the loss."""
+
+    VARIANTS = ("aux_inverse", "svd_sum", "svd_logdet")
+
+    @staticmethod
+    def step(dtype, variant):
+        rng = np.random.default_rng(5)
+        net = UnfoldedNetwork("classification", in_channels=3, num_layers=2,
+                              num_groups=2, group_order=2, filter_size=3,
+                              alpha=0.7, rng=rng, dtype=dtype)
+        x = Tensor(rng.random((4, 3, 16, 16)).astype(dtype))
+        loss = training_loss(net, x, rng.integers(0, 10, 4), mu=0.01,
+                             loss_variant=variant)
+        loss.backward()
+        return net, loss
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_tape_tensor_is_float32(self, variant):
+        _, loss = self.step(np.float32, variant)
+        tape = _tape(loss)
+        assert len(tape) > 50
+        upcast = [t for t in tape if t.dtype != np.float32]
+        assert not upcast, f"{len(upcast)} of {len(tape)} tensors upcast"
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_step_tracks_float64(self, variant):
+        net32, loss32 = self.step(np.float32, variant)
+        net64, loss64 = self.step(np.float64, variant)
+        assert loss32.item() == pytest.approx(loss64.item(), rel=1e-5)
+        p64 = net64.parameters()
+        for name, p in net32.parameters().items():
+            ref = p64[name].grad
+            if ref is None:     # A_tilde is outside the SVD penalties
+                assert p.grad is None
+                continue
+            assert p.grad.dtype == np.float32
+            err = np.linalg.norm(p.grad - ref) / np.linalg.norm(ref)
+            assert err < 1e-2, f"{name}: relative gradient error {err:.2e}"
+
+
+def test_unknown_loss_variant_raises_through_both_entry_points(rng):
+    from orbitnet.config import RunConfig
+    from orbitnet.train import training_loss_from_task
+    net = tiny_network(rng=rng)
+    x = Tensor(rng.random((2, 1, 8, 8)))
+    labels = rng.integers(0, 10, 2)
+    for mu in (0.0, 0.01):
+        with pytest.raises(ValueError, match="bogus"):
+            training_loss(net, x, labels, mu=mu, loss_variant="bogus")
+        cfg = RunConfig(mu=mu, loss_variant="bogus")   # not validated
+        with pytest.raises(ValueError, match="bogus"):
+            training_loss_from_task(net, task_loss(net, x, labels), cfg)

@@ -177,6 +177,34 @@ class TestAdjointIdentities:
             assert abs(lhs - rhs) < 1e-10
 
 
+class TestScalarLift:
+    """A Python scalar takes the dtype of the tensor it meets."""
+
+    OPS = [lambda t: t * 0.1, lambda t: 0.1 * t, lambda t: t + 1e-5,
+           lambda t: 1 + t, lambda t: t - 2, lambda t: 1.0 - t,
+           lambda t: t / 3.0, lambda t: 1.0 / t,
+           lambda t: soft_threshold(t, 0.5), lambda t: t ** -0.5]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scalar_keeps_dtype(self, dtype):
+        t = parameter(np.linspace(1.0, 2.0, 6), dtype=dtype)
+        for op in self.OPS:
+            out = op(t)
+            assert out.dtype == dtype
+            out.sum().backward()
+            assert t.grad.dtype == dtype
+
+    def test_float64_scalar_product_unchanged(self, rng):
+        x = rng.standard_normal(5)
+        out = 0.1 * Tensor(x) - 1e-5
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out.data, 0.1 * x - 1e-5)
+
+    def test_arrays_keep_their_dtype(self):
+        out = Tensor(np.ones(3, dtype=np.float32)) + np.ones(3)
+        assert out.dtype == np.float64
+
+
 class TestDeterminism:
     def test_bit_identical_parameters(self):
         from orbitnet.optim import Adam
