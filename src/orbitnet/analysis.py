@@ -106,6 +106,7 @@ def quadrant_signs(a):
 
 @dataclass
 class StructureReport:
+    """One generator's scores; the residual is ||A A~ - I||_F / sqrt(d)."""
     layer: int
     group: int
     skew: float
@@ -123,11 +124,10 @@ class StructureReport:
 
 def structure_report(action, layer=0, group=0):
     """Full report for one learned generator."""
-    from .groups import min_singular_value, order_defect
+    from .groups import (invertibility_residual, min_singular_value,
+                         order_defect)
     a = action.a.data
-    d = a.shape[0]
-    residual = float(np.linalg.norm(a @ action.a_tilde.data - np.eye(d))
-                     / np.sqrt(d))
+    residual = invertibility_residual(action) / np.sqrt(a.shape[0])
     probe = identity_probe(action)
     return StructureReport(
         layer=layer,

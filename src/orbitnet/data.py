@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .groups import linear_map_to_matrix
+from .groups import stack_map_to_matrix
 
 PATCH = 6
 
@@ -424,9 +424,9 @@ class PatchTransform:
         raise ValueError(f"unknown transform kind: {self.kind!r}")
 
     def operator(self):
-        """36x36 matrix of the transform in the vec basis (cached)."""
+        """36x36 matrix in the vec basis (cached), from one stacked `apply`."""
         if self._operator is None:
-            self._operator = linear_map_to_matrix(
+            self._operator = stack_map_to_matrix(
                 self.apply, self.size, self.size)
         return self._operator
 

@@ -79,14 +79,11 @@ class GroupAction:
 def apply_action(action, x):
     """The learned linear map on filters: vec_inv(A @ vec(X))."""
     n, m = action.filter_rows, action.filter_cols
-    if isinstance(x, Tensor):
-        if x.shape != (n, m):
-            raise ValueError(f"filter shape {x.shape} != ({n}, {m})")
-        return vec_inv(action.a @ vec(x), n, m)
-    x = np.asarray(x)
+    a = action.a if isinstance(x, Tensor) else action.a.data
+    x = x if isinstance(x, Tensor) else np.asarray(x)
     if x.shape != (n, m):
         raise ValueError(f"filter shape {x.shape} != ({n}, {m})")
-    return vec_inv(action.a.data @ vec(x), n, m)
+    return vec_inv(a @ vec(x), n, m)
 
 
 def apply_action_stack(action, x):
@@ -167,6 +164,12 @@ def svd_invertibility_loss(action, mu, variant="sum"):
     raise ValueError(f"unknown svd loss variant: {variant!r}")
 
 
+def invertibility_residual(action):
+    """Raw ||A A~ - I||_F, against a float64 identity for every dtype."""
+    a = action.a.data
+    return float(np.linalg.norm(a @ action.a_tilde.data - np.eye(a.shape[0])))
+
+
 def min_singular_value(action):
     return float(jacobi_svd(action.a.data)[1][-1])
 
@@ -183,6 +186,31 @@ def order_defect(action):
     return float(np.linalg.norm(power - np.eye(a.shape[0])))
 
 
+def stack_map_to_matrix(f, n, m, rng=None, probes=3, tol=1e-9):
+    """Matrix of a linear map that acts plane by plane on [k, n, m] stacks.
+
+    Same contract as `linear_map_to_matrix`; f runs once per probe term and
+    once on the stack of the nm basis planes vec_inv(e_j).
+    """
+    if rng is None:
+        rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((2, probes, n, m))
+    alpha, beta = rng.standard_normal((2, probes, 1, 1))
+    lhs = np.asarray(f(alpha * x + beta * y), dtype=np.float64)
+    rhs = alpha * np.asarray(f(x)) + beta * np.asarray(f(y))
+    scale = np.maximum(np.linalg.norm(lhs, axis=(1, 2)),
+                       np.linalg.norm(rhs, axis=(1, 2)))
+    err = np.linalg.norm(lhs - rhs, axis=(1, 2))
+    if np.any(err > tol * np.maximum(scale, 1.0)):
+        raise ValueError("map failed the linearity probe; only linear "
+                         "maps have a matrix in the vec basis")
+    d = n * m
+    # plane j is vec_inv(e_j); vec of each output plane is a row of the result
+    basis = np.eye(d).reshape(d, m, n).transpose(0, 2, 1)
+    out = np.asarray(f(basis), dtype=np.float64)
+    return np.ascontiguousarray(out.transpose(0, 2, 1).reshape(d, d).T)
+
+
 def linear_map_to_matrix(f, n, m, rng=None, probes=3, tol=1e-9):
     """Matrix of a linear map on n x m matrices, in the vec basis.
 
@@ -191,23 +219,6 @@ def linear_map_to_matrix(f, n, m, rng=None, probes=3, tol=1e-9):
     The map is probed for linearity on random inputs first and rejected if
     f(aX + bY) deviates from a f(X) + b f(Y) beyond `tol` (relative).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    for _ in range(probes):
-        x = rng.standard_normal((n, m))
-        y = rng.standard_normal((n, m))
-        alpha, beta = rng.standard_normal(2)
-        lhs = np.asarray(f(alpha * x + beta * y), dtype=np.float64)
-        rhs = alpha * np.asarray(f(x)) + beta * np.asarray(f(y))
-        scale = max(np.linalg.norm(lhs), np.linalg.norm(rhs), 1.0)
-        if np.linalg.norm(lhs - rhs) > tol * scale:
-            raise ValueError("map failed the linearity probe; only linear "
-                             "maps have a matrix in the vec basis")
-    d = n * m
-    out = np.empty((d, d))
-    basis = np.zeros(d)
-    for j in range(d):
-        basis[j] = 1.0
-        out[:, j] = vec(np.asarray(f(vec_inv(basis, n, m)), dtype=np.float64))
-        basis[j] = 0.0
-    return out
+    return stack_map_to_matrix(
+        lambda planes: np.stack([np.asarray(f(p)) for p in planes]),
+        n, m, rng=rng, probes=probes, tol=tol)

@@ -19,7 +19,7 @@ from .analysis import (dft_conjugate, identity_probe, save_csv,
                        save_heatmap_pgm, structure_report)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
-from .groups import GroupAction, order_defect
+from .groups import GroupAction, invertibility_residual, order_defect
 from .network import UnfoldedNetwork, add_invertibility_penalty, task_loss
 from .optim import Adam, lr_at
 from .probe import analytic_operator, fit_action_gd, fit_action_lstsq
@@ -72,18 +72,14 @@ def build_network(cfg: RunConfig, in_channels, rng):
 
 
 def _epoch_record(net, cfg, epoch, mean_task_loss):
-    inv = []
-    defects = []
-    for _, _, action in net.group_actions():
-        a, at = action.a.data, action.a_tilde.data
-        inv.append(float(np.linalg.norm(a @ at - np.eye(a.shape[0]))))
-        defects.append(order_defect(action))
+    actions = [action for _, _, action in net.group_actions()]
     return {
         "epoch": epoch,
         "task_loss": mean_task_loss,
         "lr": lr_at(epoch, cfg.epochs, cfg.lr),
-        "invertibility_residual_per_group": inv,
-        "order_defect_per_group": defects,
+        "invertibility_residual_per_group":
+            [invertibility_residual(a) for a in actions],
+        "order_defect_per_group": [order_defect(a) for a in actions],
     }
 
 
@@ -149,6 +145,7 @@ PAPER_ROTATIONS = (30.0, 45.0, 60.0, 90.0)
 PAPER_POOL_RADII = (3, 4, 5, 6)
 PAPER_COMPOSE_RADII = (4, 5, 6)
 PAPER_COMPOSE_THETA = 60.0
+FIT_METRICS = ("train_mse", "holdout_mse", "max_abs_err", "rel_fro_err")
 
 
 def paper_transform_grid():
@@ -187,23 +184,14 @@ def run_synthetic(out_dir, data_root="data", data_source="auto", seed=0,
         save_heatmap_pgm(out / f"{label}_analytic.pgm", reference)
         entry = {"label": label, "kind": transform.kind,
                  "theta": transform.theta, "radius": transform.radius}
-        ls = fit_action_lstsq(train_x, train_y).compare(
-            reference, hold_x, hold_y)
-        save_csv(out / f"{label}_lstsq.csv", ls.a_hat)
-        save_heatmap_pgm(out / f"{label}_lstsq.pgm", ls.a_hat)
-        entry["lstsq"] = {"train_mse": ls.train_mse,
-                          "holdout_mse": ls.holdout_mse,
-                          "max_abs_err": ls.max_abs_err,
-                          "rel_fro_err": ls.rel_fro_err}
+        fits = {"lstsq": fit_action_lstsq(train_x, train_y)}
         if run_gd:
-            gd = fit_action_gd(train_x, train_y, epochs=epochs, lr=lr)
-            gd.compare(reference, hold_x, hold_y)
-            save_csv(out / f"{label}_gd.csv", gd.a_hat)
-            save_heatmap_pgm(out / f"{label}_gd.pgm", gd.a_hat)
-            entry["gd"] = {"train_mse": gd.train_mse,
-                           "holdout_mse": gd.holdout_mse,
-                           "max_abs_err": gd.max_abs_err,
-                           "rel_fro_err": gd.rel_fro_err}
+            fits["gd"] = fit_action_gd(train_x, train_y, epochs=epochs, lr=lr)
+        for name, fit in fits.items():
+            fit.compare(reference, hold_x, hold_y)
+            save_csv(out / f"{label}_{name}.csv", fit.a_hat)
+            save_heatmap_pgm(out / f"{label}_{name}.pgm", fit.a_hat)
+            entry[name] = {key: getattr(fit, key) for key in FIT_METRICS}
         manifest["cells"].append(entry)
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True))

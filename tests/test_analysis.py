@@ -201,6 +201,13 @@ class TestReportAndExports:
         parsed = json.loads(report.to_json())
         assert parsed["dft_offdiag"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_report_residual_is_raw_residual_over_sqrt_d(self, rng):
+        from orbitnet.groups import invertibility_residual
+        g = GroupAction(Tensor(rng.standard_normal((36, 36))),
+                        Tensor(rng.standard_normal((36, 36))), 4, 6, 6)
+        report = structure_report(g)
+        assert report.invertibility_residual == invertibility_residual(g) / 6
+
     def test_csv_roundtrip(self, tmp_path, rng):
         m = rng.standard_normal((6, 6))
         save_csv(tmp_path / "m.csv", m)

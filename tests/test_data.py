@@ -11,7 +11,7 @@ from orbitnet.data import (DatasetFormatError, PatchTransform,
                            synthesize_cifar10_like, synthesize_mnist_like,
                            transform_pair_dataset, write_cifar_batch,
                            write_idx)
-from orbitnet.groups import vec
+from orbitnet.groups import vec, vec_inv
 from orbitnet.train import paper_transform_grid
 
 REAL_MNIST = os.environ.get("ORBITNET_MNIST_DIR")
@@ -368,6 +368,14 @@ class TestBatchedTransforms:
             assert np.array_equal(got[1], ref[1])
             # both consumed the same draws, so later draws agree too
             assert got_rng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+
+    def test_operator_equals_column_by_column_on_every_grid_cell(self):
+        eye = np.eye(36)
+        for t in paper_transform_grid():
+            columns = [vec(t.apply(vec_inv(eye[j], 6, 6)))
+                       for j in range(36)]
+            assert np.array_equal(t.operator(), np.stack(columns, axis=1)), \
+                t.label()
 
 
 class TestTransformPairs:

@@ -6,7 +6,8 @@ import pytest
 from orbitnet.gradcheck import check_gradients
 from orbitnet.groups import (GroupAction, apply_action, apply_action_stack,
                              expand_orbit, invertibility_loss,
-                             linear_map_to_matrix, order_defect,
+                             invertibility_residual, linear_map_to_matrix,
+                             order_defect, stack_map_to_matrix,
                              svd_invertibility_loss, vec, vec_inv)
 from orbitnet.svd import jacobi_svd
 from orbitnet.tensor import Tensor, parameter
@@ -118,6 +119,35 @@ class TestLinearMapToMatrix:
     def test_rejects_nonlinear_map(self):
         with pytest.raises(ValueError):
             linear_map_to_matrix(lambda x: x ** 2, 2, 2)
+
+
+class TestStackMapToMatrix:
+    def test_one_stacked_call_equals_per_plane_lifting(self, rng):
+        n, m = 3, 4
+        b = rng.standard_normal((n * m, n * m))
+        calls = []
+
+        def plane_map(x):
+            return vec_inv(b @ vec(x), n, m)
+
+        def stack_map(planes):
+            calls.append(planes.shape)
+            return np.stack([plane_map(p) for p in planes])
+        got = stack_map_to_matrix(stack_map, n, m)
+        np.testing.assert_array_equal(got, b)
+        np.testing.assert_array_equal(
+            got, linear_map_to_matrix(plane_map, n, m))
+        # three probe terms on 3 random planes, then the 12 basis planes
+        assert calls == [(3, n, m)] * 3 + [(n * m, n, m)]
+
+    def test_rejects_nonlinear_map(self):
+        with pytest.raises(ValueError, match="linearity"):
+            stack_map_to_matrix(lambda s: s ** 2, 2, 2)
+
+    def test_rejects_map_that_mixes_planes(self):
+        # linear on the stack, but plane k's output depends on plane k+1
+        with pytest.raises(ValueError, match="linearity"):
+            stack_map_to_matrix(lambda s: s + np.roll(s, 1, axis=0), 2, 2)
 
 
 class TestApplyAction:
@@ -262,6 +292,26 @@ class TestInvertibilityLoss:
         g = GroupAction.initialize(2, 2, 2, rng)
         check_gradients(lambda: invertibility_loss(g, mu=0.7),
                         {"A": g.a, "A_tilde": g.a_tilde})
+
+
+class TestInvertibilityResidual:
+    def test_raw_frobenius_residual(self, rng):
+        a = rng.standard_normal((6, 6))
+        at = rng.standard_normal((6, 6))
+        g = GroupAction(Tensor(a), Tensor(at), 2, 2, 3)
+        assert invertibility_residual(g) == float(
+            np.linalg.norm(a @ at - np.eye(6)))
+        exact = GroupAction(Tensor(a), Tensor(np.linalg.inv(a)), 2, 2, 3)
+        assert invertibility_residual(exact) < 1e-12
+
+    def test_float32_pair_measured_against_float64_identity(self, rng):
+        a = rng.standard_normal((4, 4)).astype(np.float32)
+        at = rng.standard_normal((4, 4)).astype(np.float32)
+        g = GroupAction(Tensor(a), Tensor(at), 2, 2, 2)
+        product = a @ at
+        assert product.dtype == np.float32
+        assert invertibility_residual(g) == float(
+            np.linalg.norm(product - np.eye(4)))
 
 
 class TestSvdInvertibilityLoss:

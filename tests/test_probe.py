@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from orbitnet import probe
 from orbitnet.data import PatchTransform
+from orbitnet.optim import Adam
 from orbitnet.probe import analytic_operator, fit_action_gd, fit_action_lstsq
+from orbitnet.tensor import Tensor, parameter
 
 
 def make_pairs(transform, count, rng, size=6):
@@ -69,12 +72,59 @@ class TestGradientFit:
             fit_action_gd(rng.random((10, 36)), rng.random((10, 36)),
                           epochs=1)
 
+    def test_gram_gradient_equals_tape_gradient(self, rng, monkeypatch):
+        # start from a random A and record every gradient Adam is given
+        seen = []
+
+        class SpyAdam(Adam):
+            def step(self):
+                a = self.params["A"]
+                seen.append((a.data.copy(), a.grad.copy()))
+                super().step()
+
+        monkeypatch.setattr(probe, "Adam", SpyAdam)
+        monkeypatch.setattr(probe, "parameter", lambda data: parameter(
+            rng.standard_normal(data.shape)))
+        xs, ys = rng.standard_normal((2, 120, 36))
+        fit_action_gd(xs, ys, epochs=3, lr=0.1)
+        assert len(seen) == 3
+        for a_data, gram_grad in seen:
+            a = parameter(a_data)
+            diff = Tensor(xs) @ a.transpose() - Tensor(ys)
+            (diff * diff).mean().backward()
+            rel = (np.linalg.norm(gram_grad - a.grad)
+                   / np.linalg.norm(a.grad))
+            assert rel < 1e-12
+
+    @pytest.mark.parametrize("epochs", [1, 200])
+    def test_train_mse_is_that_of_returned_a_hat(self, epochs, rng):
+        t = PatchTransform.pooling(3)
+        xs, ys = make_pairs(t, 300, rng)
+        fit = fit_action_gd(xs, ys, epochs=epochs, lr=0.01)
+        direct = np.mean((xs @ fit.a_hat.T - ys) ** 2)
+        assert fit.train_mse == pytest.approx(direct, rel=1e-12)
+
     def test_non_finite_loss_aborts_with_hint(self, rng):
         xs = rng.random((50, 36))
         ys = xs.copy()
         ys[3, 7] = np.nan
         with pytest.raises(RuntimeError, match="learning rate"):
             fit_action_gd(xs, ys, epochs=10)
+
+
+@pytest.mark.parametrize("fit", [fit_action_lstsq, fit_action_gd])
+class TestPairShapes:
+    def test_fewer_target_columns_rejected(self, fit, rng):
+        with pytest.raises(ValueError, match=r"\(100, 36\).*\(100, 30\)"):
+            fit(rng.random((100, 36)), rng.random((100, 30)))
+
+    def test_row_count_mismatch_rejected(self, fit, rng):
+        with pytest.raises(ValueError, match=r"\(100, 36\).*\(90, 36\)"):
+            fit(rng.random((100, 36)), rng.random((90, 36)))
+
+    def test_non_2d_rejected(self, fit, rng):
+        with pytest.raises(ValueError, match=r"\(36,\).*\(36,\)"):
+            fit(rng.random(36), rng.random(36))
 
 
 class TestAnalyticOperator:
