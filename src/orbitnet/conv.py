@@ -5,18 +5,19 @@ spatial size equals input size ((k-1)//2 before, k//2 after). The adjoint
 is the exact transpose of the forward map, verified by the inner-product
 identity <corr(x, w), y> == <x, adjoint(y, w)>.
 
-Every kernel works on one channel-major layout: the input is zero-padded
-straight into a [C, N, Hp, Wp] buffer, so each kernel tap is a plain
-slice of it and every contraction is a single GEMM. Two equivalent
-evaluation strategies are picked per call to keep the k*k data
-duplication on the side with fewer channels:
-  * gather (im2col, Chellapilla et al. 2006): kh*kw slice copies build
-    cols[C*kh*kw, N*H*W], then one GEMM. Used when the input has no more
-    channels than the output.
-  * scatter: one tap-major GEMM [kh*kw*O, C] @ [C, N*Hp*Wp], then kh*kw
-    shifted slice adds. Used when the output has fewer channels.
-The kernel gradient follows the same rule. Only the padded input is kept
-from forward to backward; `cols` is rebuilt when needed.
+Every kernel works in the tape's own [N, C, H, W] layout. Only the operand
+with fewer channels is zero-padded and windowed; the wide one (the code
+tensor, in the network) is read or written by exactly one batched GEMM,
+never transposed, padded or copied. Two equivalent strategies keep the
+k*k data duplication on the narrow side:
+  * gather (im2col, Chellapilla et al. 2006): kh*kw slice copies of the
+    padded input build cols[N, C*kh*kw, H*W], then one GEMM gives
+    [N, O, H*W]. Used when the input has no more channels than the output.
+  * scatter: one tap-major GEMM [kh*kw*O, C] @ [N, C, H*W] on the unpadded
+    input, then kh*kw shifted adds into a narrow padded accumulator, which
+    is cropped. Used when the output has fewer channels.
+The kernel gradient windows the padded input when it is narrow, else the
+padded output gradient. Nothing padded is kept from forward to backward.
 """
 
 import numpy as np
@@ -24,64 +25,57 @@ import numpy as np
 from .tensor import Tensor
 
 
-def _pad(x, pt, pl, kh, kw):
-    """x [N,C,H,W] zero-padded for a kh x kw window, as [C, N, Hp, Wp]."""
+def _pad(x, top, left, kh, kw):
+    """x [N,C,H,W] zero-padded for a kh x kw window: [N, C, H+kh-1, W+kw-1]."""
     n, c, h, w = x.shape
-    xp = np.zeros((c, n, h + kh - 1, w + kw - 1), dtype=x.dtype)
-    xp[:, :, pt:pt + h, pl:pl + w] = x.transpose(1, 0, 2, 3)
+    xp = np.zeros((n, c, h + kh - 1, w + kw - 1), dtype=x.dtype)
+    xp[:, :, top:top + h, left:left + w] = x
     return xp
 
 
-def _cols(xp, kh, kw, h, w):
-    """im2col: cols[(c, u, v), (n, i, j)] = xp[c, n, i + u, j + v]."""
-    c, n = xp.shape[:2]
-    cols = np.empty((c, kh, kw, n, h, w), dtype=xp.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            cols[:, u, v] = xp[:, :, u:u + h, v:v + w]
-    return cols.reshape(c * kh * kw, n * h * w)
+def _cols(x, top, left, kh, kw):
+    """im2col: cols[n, (c, u, v), (i, j)] = _pad(x, ...)[n, c, i + u, j + v]."""
+    n, c, h, w = x.shape
+    xp = _pad(x, top, left, kh, kw)
+    cols = np.empty((n, c, kh, kw, h, w), dtype=x.dtype)
+    for u, v in np.ndindex(kh, kw):
+        cols[:, :, u, v] = xp[:, :, u:u + h, v:v + w]
+    return cols.reshape(n, c * kh * kw, h * w)
 
 
-def _corr(xp, w, h, wd):
-    """Correlation of padded xp [C,N,Hp,Wp] with w [O,C,kh,kw]: [N,O,h,wd]."""
-    c, n, hp, wp = xp.shape
+def _corr(x, w, pt, pl):
+    """Correlation of x [N,C,H,W], padded (pt, pl) before, with w [O,C,kh,kw]."""
+    n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
     if c <= o:
-        y = (w.reshape(o, -1) @ _cols(xp, kh, kw, h, wd)).reshape(o, n, h, wd)
-    else:
-        taps = w.transpose(2, 3, 0, 1).reshape(kh * kw * o, c)
-        full = (taps @ xp.reshape(c, -1)).reshape(kh, kw, o, n, hp, wp)
-        # y[o, n, i, j] = sum_{u,v} full[u, v, o, n, i+u, j+v]
-        y = full[0, 0, :, :, :h, :wd].copy()
-        for u in range(kh):
-            for v in range(kw):
-                if u or v:
-                    y += full[u, v, :, :, u:u + h, v:v + wd]
-    return np.ascontiguousarray(y.transpose(1, 0, 2, 3))
+        cols = _cols(x, pt, pl, kh, kw)
+        return np.matmul(w.reshape(o, -1), cols).reshape(n, o, h, wd)
+    taps = w.transpose(2, 3, 0, 1).reshape(kh * kw * o, c)
+    full = np.matmul(taps, x.reshape(n, c, h * wd)).reshape(n, kh, kw, o, h, wd)
+    # input pixel (a, b) under tap (u, v) lands on output (a+pt-u, b+pl-v),
+    # i.e. at (a+kh-1-u, b+kw-1-v) of an accumulator offset by (kh-1-pt, kw-1-pl)
+    acc = np.zeros((n, o, h + kh - 1, wd + kw - 1), dtype=full.dtype)
+    for u, v in np.ndindex(kh, kw):
+        acc[:, :, kh - 1 - u:kh - 1 - u + h, kw - 1 - v:kw - 1 - v + wd] += \
+            full[:, u, v]
+    return np.ascontiguousarray(
+        acc[:, :, kh - 1 - pt:kh - 1 - pt + h, kw - 1 - pl:kw - 1 - pl + wd])
 
 
-def _corr_grad_w(xp, g, kh, kw):
-    """Gradient of _corr(xp, w) w.r.t. the kernel [O, C, kh, kw]."""
-    c, n, hp, wp = xp.shape
-    o, h, wd = g.shape[1:]
-    gt = g.transpose(1, 0, 2, 3)
+def _corr_grad_w(x, g, pt, pl, kh, kw):
+    """Gradient of _corr(x, w, pt, pl) w.r.t. the kernel [O, C, kh, kw]."""
+    n, c, h, wd = x.shape
+    o = g.shape[1]
     if c <= o:
-        gw = np.ascontiguousarray(gt).reshape(o, -1) @ \
-            _cols(xp, kh, kw, h, wd).T
-        return gw.reshape(o, c, kh, kw)
-    # spread g over a tap-major buffer, then one GEMM against the input
-    gfull = np.zeros((o, kh, kw, n, hp, wp), dtype=g.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            gfull[:, u, v, :, u:u + h, v:v + wd] = gt
-    gw = gfull.reshape(o * kh * kw, -1) @ xp.reshape(c, -1).T
-    return np.ascontiguousarray(gw.reshape(o, kh, kw, c).transpose(0, 3, 1, 2))
-
-
-def _corr2d(x, w, pt, pl):
-    """Same-size correlation of x [N,C,H,W] with w [O,C,kh,kw]."""
-    kh, kw = w.shape[2:]
-    return _corr(_pad(x, pt, pl, kh, kw), w, x.shape[2], x.shape[3])
+        cols = _cols(x, pt, pl, kh, kw)
+        gw = np.matmul(g.reshape(n, o, h * wd), cols.transpose(0, 2, 1))
+        return gw.sum(axis=0).reshape(o, c, kh, kw)
+    # tap (u, v) pairs x[a, b] with g[a+pt-u, b+pl-v]: g padded (kh-1-pt,
+    # kw-1-pl) before and windowed at (kh-1-u, kw-1-v)
+    gcols = _cols(g, kh - 1 - pt, kw - 1 - pl, kh, kw)
+    gw = np.matmul(gcols, x.reshape(n, c, h * wd).transpose(0, 2, 1))
+    gw = gw.sum(axis=0).reshape(o, kh, kw, c)[:, ::-1, ::-1]
+    return np.ascontiguousarray(gw.transpose(0, 3, 1, 2))
 
 
 def _check_shapes(x, c, kh, kw):
@@ -102,19 +96,17 @@ def conv2d_same(x, w):
     """Correlate x [N,C,H,W] with bank w [O,C,k,k] at stride 1, same size."""
     x = Tensor._lift(x)
     w = Tensor._lift(w)
-    h, wd = x.shape[2:]
     kh, kw = w.shape[2:]
     _check_shapes(x, w.shape[1], kh, kw)
     pt, pl = (kh - 1) // 2, (kw - 1) // 2
-    xp = _pad(x.data, pt, pl, kh, kw)
-    y = _corr(xp, w.data, h, wd)
+    y = _corr(x.data, w.data, pt, pl)
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(_corr2d(g, _swap_flip(w.data),
-                                  kh - 1 - pt, kw - 1 - pl))
+            x._accumulate(_corr(g, _swap_flip(w.data),
+                                kh - 1 - pt, kw - 1 - pl))
         if w.requires_grad:
-            w._accumulate(_corr_grad_w(xp, g, kh, kw))
+            w._accumulate(_corr_grad_w(x.data, g, pt, pl, kh, kw))
     return Tensor._result(y, (x, w), backward)
 
 
@@ -124,16 +116,15 @@ def conv2d_adjoint(y, w):
     w = Tensor._lift(w)
     o, c, kh, kw = w.shape
     _check_shapes(y, o, kh, kw)
-    h, wd = y.shape[2:]
     pt, pl = kh // 2, kw // 2
-    yp = _pad(y.data, pt, pl, kh, kw)
-    x = _corr(yp, _swap_flip(w.data), h, wd)
+    x = _corr(y.data, _swap_flip(w.data), pt, pl)
 
     def backward(g):
         if y.requires_grad:
-            y._accumulate(_corr2d(g, w.data, kh - 1 - pt, kw - 1 - pl))
+            y._accumulate(_corr(g, w.data, kh - 1 - pt, kw - 1 - pl))
         if w.requires_grad:
-            w._accumulate(_swap_flip(_corr_grad_w(yp, g, kh, kw)))
+            w._accumulate(_swap_flip(
+                _corr_grad_w(y.data, g, pt, pl, kh, kw)))
     return Tensor._result(x, (y, w), backward)
 
 

@@ -21,7 +21,14 @@ from .tensor import Tensor, cross_entropy, parameter, soft_threshold, stack
 
 
 class BatchNorm2d:
-    """Per-channel batch normalization over [N, C, H, W]."""
+    """Per-channel batch normalization over [N, C, H, W].
+
+    In training mode, gamma * x_hat + beta with x_hat = (x - mean) * rs and
+    rs = (var + eps)^-1/2 over the m = N*H*W values of a channel is one
+    tape node, whose backward is the closed form over per-channel sums:
+    d_beta = sum(g), d_gamma = sum(g * x_hat) and
+    d_x = gamma * rs / m * (m * g - sum(g) - x_hat * sum(g * x_hat)).
+    """
 
     def __init__(self, channels, momentum=0.1, eps=1e-5, dtype=np.float64):
         self.channels = channels
@@ -34,29 +41,46 @@ class BatchNorm2d:
         self.initialized = False
 
     def forward(self, x, training):
-        axes = (0, 2, 3)
-        if training:
-            mu = x.mean(axis=axes, keepdims=True)
-            centered = x - mu
-            var = (centered * centered).mean(axis=axes, keepdims=True)
-            count = x.size // x.shape[1]
-            unbiased = var.data.reshape(-1) * count / max(count - 1, 1)
-            self.running_mean = ((1 - self.momentum) * self.running_mean
-                                 + self.momentum * mu.data.reshape(-1))
-            self.running_var = ((1 - self.momentum) * self.running_var
-                                + self.momentum * unbiased)
-            self.initialized = True
-            xn = centered * (var + self.eps) ** -0.5
-        else:
+        shape = (1, self.channels, 1, 1)
+        if not training:
             if not self.initialized:
                 raise RuntimeError(
                     "batch norm has no running statistics; run at least one "
                     "training-mode forward pass or load a checkpoint")
-            mu = self.running_mean.reshape(1, -1, 1, 1)
-            std = np.sqrt(self.running_var + self.eps).reshape(1, -1, 1, 1)
+            mu = self.running_mean.reshape(shape)
+            std = np.sqrt(self.running_var + self.eps).reshape(shape)
             xn = (x - mu) * (1.0 / std)
-        shape = (1, self.channels, 1, 1)
-        return xn * self.gamma.reshape(shape) + self.beta.reshape(shape)
+            return xn * self.gamma.reshape(shape) + self.beta.reshape(shape)
+        gamma, beta, axes = self.gamma, self.beta, (0, 2, 3)
+        mu = x.data.mean(axis=axes, keepdims=True)
+        centered = x.data - mu
+        var = (centered * centered).mean(axis=axes, keepdims=True)
+        count = x.size // x.shape[1]
+        unbiased = var.reshape(-1) * count / max(count - 1, 1)
+        self.running_mean = ((1 - self.momentum) * self.running_mean
+                             + self.momentum * mu.reshape(-1))
+        self.running_var = ((1 - self.momentum) * self.running_var
+                            + self.momentum * unbiased)
+        self.initialized = True
+        rs = (var + self.eps) ** -0.5
+        xhat = centered * rs
+        out = xhat * gamma.data.reshape(shape) + beta.data.reshape(shape)
+
+        def backward(g):
+            sum_g = g.sum(axis=axes)
+            gx = g * xhat
+            sum_gx = gx.sum(axis=axes)
+            if gamma.requires_grad:
+                gamma._accumulate(sum_gx)
+            if beta.requires_grad:
+                beta._accumulate(sum_g)
+            if x.requires_grad:
+                dx = g * count
+                dx -= sum_g.reshape(shape)
+                dx -= np.multiply(xhat, sum_gx.reshape(shape), out=gx)
+                dx *= gamma.data.reshape(shape) * rs / count
+                x._accumulate(dx)
+        return Tensor._result(out, (x, gamma, beta), backward)
 
 
 class GroupConvLayer:
@@ -113,7 +137,7 @@ class GroupConvLayer:
                 f"expected {self.in_channels} input channels, got {x.shape[1]}")
         bank = self.weight_bank()
         if z_prev is None:
-            u = self.alpha * conv2d_same(x, bank)
+            u = conv2d_same(x, self.alpha * bank)
         else:
             if z_prev.shape[1] != self.out_channels or \
                     z_prev.shape[2:] != x.shape[2:]:
@@ -121,7 +145,7 @@ class GroupConvLayer:
                     f"code shape {z_prev.shape} does not match input "
                     f"{x.shape} with {self.out_channels} filters")
             residual = x - conv2d_adjoint(z_prev, bank)
-            u = z_prev + self.alpha * conv2d_same(residual, bank)
+            u = z_prev + conv2d_same(residual, self.alpha * bank)
         lam = self.lam.reshape(1, self.out_channels, 1, 1)
         return soft_threshold(u, lam, one_sided=self.one_sided)
 

@@ -79,6 +79,11 @@ def fit_action_gd(xs, ys, epochs=200, lr=0.01):
 def fit_action_lstsq(xs, ys):
     """Exact minimizer of the mean squared error, one solve per output row."""
     xs, ys = _pairs(xs, ys)
+    for name, arr in (("xs", xs), ("ys", ys)):
+        bad = arr.size - np.count_nonzero(np.isfinite(arr))
+        if bad:
+            raise ValueError(f"{name} has {bad} non-finite entries; "
+                             f"least squares needs finite pairs")
     solution, _, rank, _ = np.linalg.lstsq(xs, ys, rcond=None)
     deficient = rank < xs.shape[1]
     if deficient:

@@ -326,24 +326,23 @@ def soft_threshold(u, lam, one_sided=False):
     if np.any(lam.data < 0):
         raise ValueError("soft_threshold requires lam >= 0 elementwise")
     if one_sided:
-        mask = u.data - lam.data > 0
-        out_data = np.where(mask, u.data - lam.data, 0.0)
-
-        def backward(g):
-            if u.requires_grad:
-                u._accumulate(_unbroadcast(g * mask, u.shape))
-            if lam.requires_grad:
-                lam._accumulate(_unbroadcast(-g * mask, lam.shape))
+        diff = u.data - lam.data
+        mask = diff > 0
+        out_data = np.where(mask, diff, 0.0)
+        sign = None
     else:
         mask = np.abs(u.data) > lam.data
         sign = np.sign(u.data)
         out_data = np.where(mask, u.data - sign * lam.data, 0.0)
 
-        def backward(g):
-            if u.requires_grad:
-                u._accumulate(_unbroadcast(g * mask, u.shape))
-            if lam.requires_grad:
-                lam._accumulate(_unbroadcast(-g * sign * mask, lam.shape))
+    def backward(g):
+        gm = g * mask
+        if u.requires_grad:
+            u._accumulate(_unbroadcast(gm, u.shape))
+        if lam.requires_grad:
+            # negating after the reduction is exact, and one pass cheaper
+            lam._accumulate(-_unbroadcast(gm if sign is None else gm * sign,
+                                          lam.shape))
     return Tensor._result(out_data, (u, lam), backward)
 
 

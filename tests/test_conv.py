@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from orbitnet import conv
 from orbitnet.conv import avg_pool_to, conv2d_adjoint, conv2d_same
 from orbitnet.gradcheck import check_gradients
+from orbitnet.network import UnfoldedNetwork, training_loss
 from orbitnet.tensor import Tensor, parameter
 
 
@@ -171,6 +173,25 @@ class TestConvGradients:
             ref = op(a64, w64).data
             np.testing.assert_allclose(out.data, ref,
                                        atol=1e-5 * np.abs(ref).max())
+
+
+def test_reference_step_pads_only_the_narrow_operand(rng, monkeypatch):
+    # reference network: L=4, K=5, p=4, 6x6 filters on 1x28x28 images, so
+    # every conv call maps between 1 image channel and 20 code channels
+    net = UnfoldedNetwork("classification", 1, 4, 5, 4, 6, 0.01, rng)
+    narrow = min(1, 5 * 4)
+    padded = []
+    pad = conv._pad
+
+    def spy(x, *args):
+        out = pad(x, *args)
+        padded.append(out.shape)
+        return out
+    monkeypatch.setattr(conv, "_pad", spy)
+    x = Tensor(rng.random((4, 1, 28, 28)))
+    training_loss(net, x, rng.integers(0, 10, 4), mu=0.001).backward()
+    assert padded
+    assert all(shape[:2] == (4, narrow) for shape in padded), padded
 
 
 class TestAvgPool:

@@ -171,6 +171,63 @@ class TestBatchNorm:
             {"x": x, "gamma": bn.gamma, "beta": bn.beta})
 
 
+def nine_node_batch_norm(bn, x):
+    """Training-mode batch norm built from nine tape ops, as a reference."""
+    axes = (0, 2, 3)
+    mu = x.mean(axis=axes, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    count = x.size // x.shape[1]
+    unbiased = var.data.reshape(-1) * count / max(count - 1, 1)
+    bn.running_mean = ((1 - bn.momentum) * bn.running_mean
+                       + bn.momentum * mu.data.reshape(-1))
+    bn.running_var = ((1 - bn.momentum) * bn.running_var
+                      + bn.momentum * unbiased)
+    bn.initialized = True
+    xn = centered * (var + bn.eps) ** -0.5
+    shape = (1, bn.channels, 1, 1)
+    return xn * bn.gamma.reshape(shape) + bn.beta.reshape(shape)
+
+
+class TestOneNodeBatchNorm:
+    @staticmethod
+    def run(forward, dtype, seed=3):
+        rng = np.random.default_rng(seed)
+        bn = BatchNorm2d(4, dtype=dtype)
+        bn.gamma.data = (rng.random(4) + 0.5).astype(dtype)
+        bn.beta.data = rng.standard_normal(4).astype(dtype)
+        bn.running_mean = rng.standard_normal(4).astype(dtype)
+        x = Tensor((rng.standard_normal((6, 4, 5, 7)) * 3.0 + 1.5)
+                   .astype(dtype), requires_grad=True)
+        weight = Tensor(rng.standard_normal(x.shape).astype(dtype))
+        out = forward(bn, x)
+        (out * weight).sum().backward()
+        return bn, x, out
+
+    def test_is_one_node(self):
+        bn, x, out = self.run(lambda bn, x: bn.forward(x, True), np.float64)
+        assert [id(p) for p in out._parents] == \
+            [id(x), id(bn.gamma), id(bn.beta)]
+
+    def test_matches_nine_node_reference(self):
+        bn, x, out = self.run(lambda bn, x: bn.forward(x, True), np.float64)
+        ref_bn, ref_x, ref = self.run(nine_node_batch_norm, np.float64)
+        assert np.array_equal(out.data, ref.data)
+        assert np.array_equal(bn.running_mean, ref_bn.running_mean)
+        assert np.array_equal(bn.running_var, ref_bn.running_var)
+        for got, want in ((x.grad, ref_x.grad),
+                          (bn.gamma.grad, ref_bn.gamma.grad),
+                          (bn.beta.grad, ref_bn.beta.grad)):
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert err < 1e-10
+
+    def test_float32_stays_float32(self):
+        bn, x, out = self.run(lambda bn, x: bn.forward(x, True), np.float32)
+        assert out.dtype == np.float32
+        for grad in (x.grad, bn.gamma.grad, bn.beta.grad):
+            assert grad.dtype == np.float32
+
+
 def tiny_network(task="classification", rng=None, **kwargs):
     rng = rng or np.random.default_rng(0)
     defaults = dict(task=task, in_channels=1, num_layers=2, num_groups=1,

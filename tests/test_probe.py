@@ -36,6 +36,14 @@ class TestLstsqFit:
             fit = fit_action_lstsq(xs, xs)
         assert fit.rank_deficient
 
+    @pytest.mark.parametrize("name,value,count", [("ys", np.nan, 1),
+                                                  ("xs", np.inf, 2)])
+    def test_non_finite_pairs_rejected(self, name, value, count, rng):
+        pairs = {"xs": rng.random((50, 36)), "ys": rng.random((50, 36))}
+        pairs[name].flat[[5, 77][:count]] = value
+        with pytest.raises(ValueError, match=f"{name} has {count} non-finite"):
+            fit_action_lstsq(pairs["xs"], pairs["ys"])
+
 
 class TestGradientFit:
     def test_identity_transform(self, rng):

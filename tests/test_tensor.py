@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from orbitnet.gradcheck import check_gradients
-from orbitnet.tensor import (Tensor, cross_entropy, frobenius_norm,
-                             gradient_of, log, no_grad, parameter,
-                             soft_threshold, stack)
+from orbitnet.tensor import (Tensor, _unbroadcast, cross_entropy,
+                             frobenius_norm, gradient_of, log, no_grad,
+                             parameter, soft_threshold, stack)
 
 
 class TestSoftThreshold:
@@ -47,6 +47,27 @@ class TestSoftThreshold:
             check_gradients(
                 lambda: (soft_threshold(u, lam, one_sided) ** 2).sum(),
                 {"u": u, "lam": lam})
+
+    @pytest.mark.parametrize("one_sided", [True, False])
+    def test_bitwise_equal_to_reference(self, one_sided, rng):
+        u = parameter(rng.standard_normal((3, 4, 5, 5)))
+        lam = parameter(rng.random((1, 4, 1, 1)) * 0.5)
+        g = rng.standard_normal(u.shape)
+        out = soft_threshold(u, lam, one_sided)
+        out._backward(g)
+        # the reference computes each pass the way it is written out
+        if one_sided:
+            mask = u.data - lam.data > 0
+            ref = np.where(mask, u.data - lam.data, 0.0)
+            ref_lam = _unbroadcast(-g * mask, lam.shape)
+        else:
+            mask = np.abs(u.data) > lam.data
+            sign = np.sign(u.data)
+            ref = np.where(mask, u.data - sign * lam.data, 0.0)
+            ref_lam = _unbroadcast(-g * sign * mask, lam.shape)
+        assert np.array_equal(out.data, ref)
+        assert np.array_equal(u.grad, g * mask)
+        assert np.array_equal(lam.grad, ref_lam)
 
 
 class TestBasicGradients:
