@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .groups import vec_inv
+from .groups import apply_action
 
 
 def identity_probe(action):
@@ -23,8 +23,7 @@ def identity_probe(action):
     n, m = action.filter_rows, action.filter_cols
     if n != m:
         raise ValueError(f"identity probe needs square filters, got {n}x{m}")
-    a = action.a.data if hasattr(action.a, "data") else np.asarray(action.a)
-    return vec_inv(a @ np.eye(n).reshape(-1, order="F"), n, m)
+    return apply_action(action, np.eye(n))
 
 
 def dft_matrix(n):

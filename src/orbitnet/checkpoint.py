@@ -34,7 +34,7 @@ def save_checkpoint(path, arrays):
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, len(arrays)))
         for name, arr in arrays.items():
-            arr = np.ascontiguousarray(arr, dtype="<f8")
+            arr = np.asarray(arr, dtype="<f8")
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)

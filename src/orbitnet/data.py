@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .groups import stack_map_to_matrix
+from .groups import stack_map_to_matrix, vec
 
 PATCH = 6
 
@@ -459,8 +459,4 @@ def transform_pair_dataset(images, transform, num_pairs, rng):
     for k in range(count):
         patches[k] = extract_patch(images[int(rng.integers(0, n))], rng)
     planes = patches.reshape(count * c, PATCH, PATCH)[:num_pairs]
-    d = transform.size * transform.size
-    # vec stacks columns, i.e. the rows of each transposed plane
-    xs = planes.transpose(0, 2, 1).reshape(num_pairs, d)
-    ys = transform.apply(planes).transpose(0, 2, 1).reshape(num_pairs, d)
-    return xs, ys
+    return vec(planes), vec(transform.apply(planes))

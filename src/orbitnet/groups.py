@@ -1,4 +1,4 @@
-"""Cyclic linear group actions on matrix-valued filters.
+"""Linear group actions on matrix-valued filters.
 
 A filter is an n x m matrix. Its vectorization (column-major stacking) is
 acted on by a trainable (nm x nm) generator matrix A; pulling the result
@@ -6,7 +6,11 @@ back through the inverse vectorization yields a linear map on filters that
 can realize *every* linear operator on the n x m matrix space, including
 operators no n x n left-multiplication can express. A filter set of p
 elements is the orbit of a basis filter under repeated application of that
-map.
+map. Nothing makes A^p = I: p is only the orbit length, and
+`order_defect` measures the distance. A `GroupAction` holds one generator
+or a [K, d, d] stack of them (a network layer holds one stack of its K
+groups); the action, the orbit and the losses take either, while the
+residual, order defect and minimum singular value take one generator.
 
 Invertibility of the generator (membership in the general linear group) is
 encouraged during training either through an auxiliary inverse-candidate
@@ -22,32 +26,34 @@ from .svd import jacobi_svd, singular_values
 from .tensor import Tensor, frobenius_norm, log, parameter
 
 
+def _swap_last(x):
+    """x with its last two axes exchanged; a Tensor stays on the tape."""
+    return x.transpose(tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2))
+
+
 def vec(x):
-    """Column-major stacking of an n x m matrix into a length-nm vector."""
-    if isinstance(x, Tensor):
-        return x.transpose().reshape(x.size)
-    return np.asarray(x).reshape(-1, order="F")
+    """Column-major stacking of each n x m matrix of [..., n, m] into nm."""
+    x = x if isinstance(x, Tensor) else np.asarray(x)
+    *lead, n, m = x.shape
+    return _swap_last(x).reshape(*lead, n * m)
 
 
 def vec_inv(a, n, m):
-    """Inverse of `vec`: length-nm vector back to an n x m matrix."""
-    if isinstance(a, Tensor):
-        if a.size != n * m:
-            raise ValueError(f"vector of length {a.size} is not {n}x{m}")
-        return a.reshape(m, n).transpose()
-    a = np.asarray(a)
-    if a.size != n * m:
-        raise ValueError(f"vector of length {a.size} is not {n}x{m}")
-    return a.reshape(n, m, order="F")
+    """Inverse of `vec`: [..., nm] vectors back to [..., n, m] matrices."""
+    a = a if isinstance(a, Tensor) else np.asarray(a)
+    if a.shape[-1:] != (n * m,):
+        raise ValueError(f"vectors of shape {a.shape} are not {n}x{m}")
+    return _swap_last(a.reshape(*a.shape[:-1], m, n))
 
 
 @dataclass
 class GroupAction:
-    """Generator of a cyclic group acting on vectorized n x m filters.
+    """Generators acting on vectorized n x m filters.
 
-    `a` is the (nm x nm) generator; `a_tilde` is the inverse candidate used
-    only by the training-time invertibility loss. `order` is the number of
-    filters the orbit produces.
+    `a` is one (nm x nm) generator or a stack [K, nm, nm] of K of them;
+    `a_tilde` has the same shape and holds the inverse candidates used only
+    by the training-time invertibility loss. `order` is the number of
+    filters each orbit produces.
     """
 
     a: Tensor
@@ -58,7 +64,7 @@ class GroupAction:
 
     def __post_init__(self):
         d = self.filter_rows * self.filter_cols
-        if self.a.shape != (d, d) or self.a_tilde.shape != (d, d):
+        if self.a.shape[-2:] != (d, d) or self.a_tilde.shape != self.a.shape:
             raise ValueError(
                 f"generator must be {d}x{d} for {self.filter_rows}x"
                 f"{self.filter_cols} filters, got {self.a.shape} and "
@@ -67,35 +73,31 @@ class GroupAction:
             raise ValueError("group order must be >= 1")
 
     @classmethod
-    def initialize(cls, n, m, order, rng, eps=0.01, dtype=np.float64):
-        """Near-identity start: A = I + eps*G with G standard Gaussian."""
+    def initialize(cls, n, m, order, rng, eps=0.01, dtype=np.float64,
+                   stack=()):
+        """Near-identity start: A = I + eps*G with G standard Gaussian.
+
+        `stack=(K,)` draws K pairs in the order of K separate calls.
+        """
         d = n * m
-        a = np.eye(d) + eps * rng.standard_normal((d, d))
-        a_tilde = np.eye(d) + eps * rng.standard_normal((d, d))
+        g = rng.standard_normal((*stack, 2, d, d))
+        a = np.eye(d) + eps * g[..., 0, :, :]
+        a_tilde = np.eye(d) + eps * g[..., 1, :, :]
         return cls(parameter(a, dtype=dtype), parameter(a_tilde, dtype=dtype),
                    order, n, m)
 
 
 def apply_action(action, x):
-    """The learned linear map on filters: vec_inv(A @ vec(X))."""
+    """The learned linear map on filters: vec_inv(A @ vec(X)) on [..., n, m].
+
+    A [K, d, d] stack acts on [..., K, C, n, m], generator k on group k.
+    """
     n, m = action.filter_rows, action.filter_cols
     a = action.a if isinstance(x, Tensor) else action.a.data
     x = x if isinstance(x, Tensor) else np.asarray(x)
-    if x.shape != (n, m):
-        raise ValueError(f"filter shape {x.shape} != ({n}, {m})")
-    return vec_inv(a @ vec(x), n, m)
-
-
-def apply_action_stack(action, x):
-    """Apply the action channel-wise to a Tensor stack [C, n, m]."""
-    n, m = action.filter_rows, action.filter_cols
-    c = x.shape[0]
-    if x.shape[1:] != (n, m):
-        raise ValueError(f"stack shape {x.shape} != (C, {n}, {m})")
-    # rows of `cols` are the per-channel vectorizations
-    cols = x.transpose((0, 2, 1)).reshape(c, n * m)
-    out = cols @ action.a.transpose()
-    return out.reshape(c, m, n).transpose((0, 2, 1))
+    if x.shape[-2:] != (n, m):
+        raise ValueError(f"filter shape {x.shape} does not end in ({n}, {m})")
+    return vec_inv(vec(x) @ _swap_last(a), n, m)
 
 
 @dataclass
@@ -122,16 +124,17 @@ def expand_orbit(action, basis):
 def invertibility_loss(action, mu, squared=False):
     """mu * ||A @ A_tilde - I||_F, differentiable in both matrices.
 
+    A stack of generators contributes the sum of its per-group norms.
     `squared=True` penalizes the squared norm instead; the unsquared form
     is the default.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
-    d = action.a.shape[0]
+    d = action.a.shape[-1]
     residual = action.a @ action.a_tilde - np.eye(d, dtype=action.a.dtype)
     if squared:
         return mu * (residual * residual).sum()
-    return mu * frobenius_norm(residual)
+    return mu * frobenius_norm(residual, axis=(-2, -1)).sum()
 
 
 # a Python float, so that it keeps a float32 penalty in float32
@@ -141,6 +144,7 @@ _SIGMA_FLOOR = float(np.finfo(np.float64).eps)
 def svd_invertibility_loss(action, mu, variant="sum"):
     """Singular-value penalty pushing A away from rank deficiency.
 
+    A stack of generators contributes the sum over its groups.
     variant="sum": -mu * sum_i sigma_i(A).
     variant="logdet": -mu * log(prod_i sigma_i(A)); singular values at or
     below machine epsilon are clamped to it (large finite penalty, with a
@@ -206,9 +210,8 @@ def stack_map_to_matrix(f, n, m, rng=None, probes=3, tol=1e-9):
                          "maps have a matrix in the vec basis")
     d = n * m
     # plane j is vec_inv(e_j); vec of each output plane is a row of the result
-    basis = np.eye(d).reshape(d, m, n).transpose(0, 2, 1)
-    out = np.asarray(f(basis), dtype=np.float64)
-    return np.ascontiguousarray(out.transpose(0, 2, 1).reshape(d, d).T)
+    out = np.asarray(f(vec_inv(np.eye(d), n, m)), dtype=np.float64)
+    return np.ascontiguousarray(vec(out).T)
 
 
 def linear_map_to_matrix(f, n, m, rng=None, probes=3, tol=1e-9):

@@ -9,13 +9,14 @@ convolutionally (W maps codes to image space, W^T images to code space),
 and S_lambda is the soft threshold (one-sided by default, i.e. a shifted
 rectifier with trainable per-filter bias). The bank is never stored: it is
 re-expanded on every forward pass from K basis filters and their group
-generators, so gradients reach both.
+generators, so gradients reach both. Each layer holds its K generators as
+one [K, d, d] stack; checkpoints still name them one group at a time.
 """
 
 import numpy as np
 
 from .conv import avg_pool_to, conv2d_adjoint, conv2d_same
-from .groups import GroupAction, apply_action_stack, invertibility_loss, \
+from .groups import GroupAction, expand_orbit, invertibility_loss, \
     svd_invertibility_loss
 from .tensor import Tensor, cross_entropy, parameter, soft_threshold, stack
 
@@ -84,11 +85,12 @@ class BatchNorm2d:
 
 
 class GroupConvLayer:
-    """One unfolding step: K cyclic groups of p filters each.
+    """One unfolding step: K groups of p filters each.
 
-    Trainables per group: a [C, n, m] basis filter stack (one n x m filter
-    per input channel; the group's generator acts channel-wise) and the
-    generator pair (A, A_tilde). Thresholds are per output filter.
+    Trainables: `action`, whose A and A_tilde are [K, d, d] stacks with
+    d = n*m; one [C, n, m] basis filter stack per group (one n x m filter
+    per input channel; the group's generator acts channel-wise); and one
+    threshold per output filter.
     """
 
     def __init__(self, in_channels, num_groups, group_order, filter_size,
@@ -103,10 +105,9 @@ class GroupConvLayer:
         self.one_sided = one_sided
         n = m = filter_size
         scale = 0.1 / np.sqrt(in_channels * n * m)
-        self.groups = [
-            GroupAction.initialize(n, m, group_order, rng, eps=init_eps,
-                                   dtype=dtype)
-            for _ in range(num_groups)]
+        self.action = GroupAction.initialize(
+            n, m, group_order, rng, eps=init_eps, dtype=dtype,
+            stack=(num_groups,))
         self.bases = [
             parameter(scale * rng.standard_normal((in_channels, n, m)),
                       dtype=dtype)
@@ -121,14 +122,10 @@ class GroupConvLayer:
 
     def weight_bank(self):
         """Expand all orbits into the full bank [K*p, C, n, m]."""
-        filters = []
-        for action, basis in zip(self.groups, self.bases):
-            element = basis
-            filters.append(element)
-            for _ in range(self.group_order - 1):
-                element = apply_action_stack(action, element)
-                filters.append(element)
-        return stack(filters, axis=0)
+        orbit = expand_orbit(self.action, stack(self.bases))
+        return stack(orbit.expanded, axis=1).reshape(
+            self.out_channels, self.in_channels, self.filter_size,
+            self.filter_size)
 
     def forward(self, x, z_prev=None):
         """One ISTA step; z_prev=None means the all-zero initial code."""
@@ -186,18 +183,11 @@ class UnfoldedNetwork:
         self.tied = tied
         self.training = True
         self.dtype = dtype
-        if tied:
-            shared = GroupConvLayer(in_channels, num_groups, group_order,
-                                    filter_size, alpha, rng,
-                                    one_sided=one_sided, init_eps=init_eps,
-                                    dtype=dtype)
-            self.layers = [shared] * num_layers
-        else:
-            self.layers = [
-                GroupConvLayer(in_channels, num_groups, group_order,
-                               filter_size, alpha, rng, one_sided=one_sided,
-                               init_eps=init_eps, dtype=dtype)
-                for _ in range(num_layers)]
+        layers = [GroupConvLayer(in_channels, num_groups, group_order,
+                                 filter_size, alpha, rng, one_sided=one_sided,
+                                 init_eps=init_eps, dtype=dtype)
+                  for _ in range(1 if tied else num_layers)]
+        self.layers = layers * num_layers if tied else layers
         channels = num_groups * group_order
         self.bns = [BatchNorm2d(channels, dtype=dtype)
                     for _ in range(num_layers - 1)]
@@ -245,10 +235,10 @@ class UnfoldedNetwork:
         """Ordered name -> Tensor map of every trainable."""
         params = {}
         for i, layer in enumerate(self.unique_layers()):
-            for k in range(layer.num_groups):
-                params[f"layers.{i}.groups.{k}.A"] = layer.groups[k].a
-                params[f"layers.{i}.groups.{k}.A_tilde"] = layer.groups[k].a_tilde
-                params[f"layers.{i}.bases.{k}"] = layer.bases[k]
+            params[f"layers.{i}.A"] = layer.action.a
+            params[f"layers.{i}.A_tilde"] = layer.action.a_tilde
+            for k, basis in enumerate(layer.bases):
+                params[f"layers.{i}.bases.{k}"] = basis
             params[f"layers.{i}.lam"] = layer.lam
         for i, bn in enumerate(self.bns):
             params[f"bn.{i}.gamma"] = bn.gamma
@@ -263,14 +253,30 @@ class UnfoldedNetwork:
             layer.clamp_thresholds()
 
     def group_actions(self):
-        """(layer index, group index, GroupAction) over unique layers."""
-        return [(li, ki, action)
+        """(layer index, group index, GroupAction on copies) per group."""
+        return [(li, k, GroupAction(
+                    Tensor(layer.action.a.data[k].copy()),
+                    Tensor(layer.action.a_tilde.data[k].copy()),
+                    layer.group_order, layer.filter_size, layer.filter_size))
                 for li, layer in enumerate(self.unique_layers())
-                for ki, action in enumerate(layer.groups)]
+                for k in range(layer.num_groups)]
+
+    def _checkpoint_slots(self):
+        """Checkpoint name -> (parameter, index); a stack is saved per group."""
+        slots = {}
+        for name, p in self.parameters().items():
+            layer, _, field = name.rpartition(".")
+            if field in ("A", "A_tilde"):
+                for k in range(p.shape[0]):
+                    slots[f"{layer}.groups.{k}.{field}"] = (p, k)
+            else:
+                slots[name] = (p, ...)
+        return slots
 
     def state_arrays(self):
         """Everything needed to restore the network, as plain arrays."""
-        state = {name: p.data for name, p in self.parameters().items()}
+        state = {name: p.data[index].copy()
+                 for name, (p, index) in self._checkpoint_slots().items()}
         for i, bn in enumerate(self.bns):
             state[f"bn.{i}.running_mean"] = bn.running_mean
             state[f"bn.{i}.running_var"] = bn.running_var
@@ -279,14 +285,14 @@ class UnfoldedNetwork:
         return state
 
     def load_state_arrays(self, state):
-        for name, p in self.parameters().items():
+        for name, (p, index) in self._checkpoint_slots().items():
             if name not in state:
                 raise KeyError(f"checkpoint is missing tensor {name!r}")
-            if state[name].shape != p.data.shape:
+            if state[name].shape != p.data[index].shape:
                 raise ValueError(
                     f"shape mismatch for {name!r}: checkpoint has "
-                    f"{state[name].shape}, model expects {p.data.shape}")
-            p.data = state[name].astype(p.data.dtype)
+                    f"{state[name].shape}, model expects {p.data[index].shape}")
+            p.data[index] = state[name]
         for i, bn in enumerate(self.bns):
             bn.running_mean = state[f"bn.{i}.running_mean"].astype(bn.running_mean.dtype)
             bn.running_var = state[f"bn.{i}.running_var"].astype(bn.running_var.dtype)
@@ -314,16 +320,16 @@ _SVD_VARIANTS = {"svd_sum": "sum", "svd_logdet": "logdet"}
 
 def add_invertibility_penalty(net, loss, mu, loss_variant="aux_inverse",
                               squared_frobenius=False):
-    """`loss` plus the selected penalty of every group action, one at a time."""
+    """`loss` plus the selected penalty, one call per layer's generator stack."""
     if loss_variant != "aux_inverse" and loss_variant not in _SVD_VARIANTS:
         raise ValueError(f"unknown loss variant: {loss_variant!r}")
     if mu == 0.0:
         return loss
-    for _, _, action in net.group_actions():
+    for layer in net.unique_layers():
         if loss_variant == "aux_inverse":
-            loss = loss + invertibility_loss(action, mu,
+            loss = loss + invertibility_loss(layer.action, mu,
                                              squared=squared_frobenius)
         else:
             loss = loss + svd_invertibility_loss(
-                action, mu, variant=_SVD_VARIANTS[loss_variant])
+                layer.action, mu, variant=_SVD_VARIANTS[loss_variant])
     return loss

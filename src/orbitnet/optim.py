@@ -38,11 +38,13 @@ class Adam:
             if g is None:
                 continue
             if not np.all(np.isfinite(g)):
-                bad = int(np.sum(~np.isfinite(g)))
+                finite = np.isfinite(g)
+                first = tuple(np.argwhere(~finite)[0].tolist())
                 raise FloatingPointError(
                     f"non-finite gradient for '{name}' at step {self.t}: "
-                    f"{bad}/{g.size} bad entries, |g|max="
-                    f"{np.max(np.abs(g[np.isfinite(g)])) if np.any(np.isfinite(g)) else 'n/a'}")
+                    f"{g.size - int(finite.sum())}/{g.size} bad entries, "
+                    f"first at index {first}, |g|max="
+                    f"{np.max(np.abs(g[finite])) if finite.any() else 'n/a'}")
             m = self.m[name]
             v = self.v[name]
             m *= b1

@@ -84,9 +84,6 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -222,15 +219,17 @@ class Tensor:
     def __matmul__(self, other):
         other = Tensor._lift(other, self)
         a, b = self, other
-        if a.ndim > 2 or b.ndim > 2:
-            raise ValueError("matmul supports 1-D and 2-D operands only")
+        if min(a.ndim, b.ndim) == 1 and max(a.ndim, b.ndim) > 2:
+            raise ValueError("a 1-D matmul operand needs a 1-D or 2-D partner")
 
         def backward(g):
-            if a.ndim == 2 and b.ndim == 2:
-                ga, gb = g @ b.data.T, a.data.T @ g
-            elif a.ndim == 2 and b.ndim == 1:
+            if a.ndim >= 2 and b.ndim >= 2:
+                # stacks broadcast over the leading axes; sum them back out
+                ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+                gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+            elif a.ndim == 2:
                 ga, gb = np.outer(g, b.data), a.data.T @ g
-            elif a.ndim == 1 and b.ndim == 2:
+            elif b.ndim == 2:
                 ga, gb = b.data @ g, np.outer(a.data, g)
             else:
                 ga, gb = g * b.data, g * a.data
@@ -261,10 +260,6 @@ class Tensor:
         def backward(g):
             a._accumulate(g.transpose(inverse))
         return Tensor._result(a.data.transpose(axes), (a,), backward)
-
-    @property
-    def T(self):
-        return self.transpose()
 
     # -- reductions ----------------------------------------------------------
 
@@ -304,10 +299,6 @@ class Tensor:
 
 # -- free functions -----------------------------------------------------------
 
-def as_tensor(x):
-    return Tensor._lift(x)
-
-
 def parameter(data, dtype=np.float64):
     """Trainable tensor (leaf of the tape)."""
     return Tensor(np.asarray(data, dtype=dtype), requires_grad=True)
@@ -346,10 +337,6 @@ def soft_threshold(u, lam, one_sided=False):
     return Tensor._result(out_data, (u, lam), backward)
 
 
-def relu(u):
-    return soft_threshold(u, 0.0, one_sided=True)
-
-
 def log(x):
     x = Tensor._lift(x)
 
@@ -358,15 +345,15 @@ def log(x):
     return Tensor._result(np.log(x.data), (x,), backward)
 
 
-def frobenius_norm(x):
-    """sqrt(sum(x**2)); the subgradient at x == 0 is taken as zero."""
+def frobenius_norm(x, axis=None):
+    """sqrt(sum(x**2)) over `axis`; a zero slice gets a zero subgradient."""
     x = Tensor._lift(x)
-    value = float(np.sqrt(np.sum(x.data * x.data)))
+    norm = np.sqrt(np.sum(x.data * x.data, axis=axis, keepdims=True))
 
     def backward(g):
-        if value > 0.0:
-            x._accumulate(g * x.data / value)
-    return Tensor._result(np.asarray(value, dtype=x.dtype), (x,), backward)
+        x._accumulate(g.reshape(norm.shape) * x.data
+                      / np.where(norm > 0, norm, 1))
+    return Tensor._result(np.squeeze(norm, axis=axis), (x,), backward)
 
 
 def stack(tensors, axis=0):

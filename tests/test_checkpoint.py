@@ -25,6 +25,38 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded[name], arr)
             assert loaded[name].dtype == np.float64
 
+    def test_roundtrip_keeps_shapes(self, tmp_path, rng):
+        # assert_array_equal broadcasts, so a 0-d array read back as (1,)
+        # passes it; compare the shapes themselves
+        arrays = {"scalar": np.asarray(1.0), "row": rng.random((1, 3)),
+                  "grid": rng.random((2, 3, 4))}
+        path = tmp_path / "shapes.ckpt"
+        save_checkpoint(path, arrays)
+        loaded = load_checkpoint(path)
+        assert {k: v.shape for k, v in loaded.items()} == \
+            {k: v.shape for k, v in arrays.items()}
+
+    def test_network_state_roundtrip_keeps_shapes(self, tmp_path, rng):
+        from orbitnet.network import UnfoldedNetwork
+        net = UnfoldedNetwork("classification", 1, 2, 2, 2, 3, 0.5, rng)
+        state = net.state_arrays()
+        path = tmp_path / "net.ckpt"
+        save_checkpoint(path, state)
+        loaded = load_checkpoint(path)
+        assert loaded["bn.0.initialized"].shape == ()
+        assert {k: v.shape for k, v in loaded.items()} == \
+            {k: v.shape for k, v in state.items()}
+
+    def test_one_element_initialized_flag_still_loads(self, rng):
+        # checkpoints written before 0-d shapes were kept store it as (1,)
+        from orbitnet.network import UnfoldedNetwork
+        net = UnfoldedNetwork("classification", 1, 2, 2, 2, 3, 0.5, rng)
+        state = net.state_arrays()
+        state["bn.0.initialized"] = np.ones(1)
+        other = UnfoldedNetwork("classification", 1, 2, 2, 2, 3, 0.5, rng)
+        other.load_state_arrays(state)
+        assert other.bns[0].initialized is True
+
     def test_float32_payload_upcast(self, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(path, {"w": np.ones(3, dtype=np.float32)})

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from orbitnet.gradcheck import check_gradients
-from orbitnet.groups import (GroupAction, apply_action, apply_action_stack,
-                             expand_orbit, invertibility_loss,
+from orbitnet.groups import (GroupAction, apply_action, expand_orbit, invertibility_loss,
                              invertibility_residual, linear_map_to_matrix,
                              order_defect, stack_map_to_matrix,
                              svd_invertibility_loss, vec, vec_inv)
@@ -85,6 +84,21 @@ class TestVec:
         a = rng.standard_normal(12)
         np.testing.assert_array_equal(vec_inv(Tensor(a), 4, 3).data,
                                       vec_inv(a, 4, 3))
+
+    @pytest.mark.parametrize("lift", [np.asarray, Tensor])
+    def test_stacks_equal_per_plane(self, lift, rng):
+        def plain(t):
+            return t.data if isinstance(t, Tensor) else t
+        x = rng.standard_normal((2, 5, 4, 3))
+        stacked = plain(vec(lift(x)))
+        assert stacked.shape == (2, 5, 12)
+        v = rng.standard_normal((2, 5, 12))
+        back = plain(vec_inv(lift(v), 4, 3))
+        assert back.shape == (2, 5, 4, 3)
+        for i in range(2):
+            for j in range(5):
+                assert np.array_equal(stacked[i, j], vec(x[i, j]))
+                assert np.array_equal(back[i, j], vec_inv(v[i, j], 4, 3))
 
 
 class TestLinearMapToMatrix:
@@ -191,7 +205,7 @@ class TestApplyAction:
     def test_stack_matches_per_channel(self, rng):
         g = action_from_matrix(rng.standard_normal((12, 12)), 2, 3, 4)
         x = rng.standard_normal((5, 3, 4))
-        got = apply_action_stack(g, Tensor(x)).data
+        got = apply_action(g, Tensor(x)).data
         for c in range(5):
             np.testing.assert_allclose(got[c], apply_action(g, x[c]),
                                        atol=1e-12)

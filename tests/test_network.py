@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orbitnet.gradcheck import check_gradients
-from orbitnet.groups import expand_orbit
+from orbitnet.groups import GroupAction, expand_orbit
 from orbitnet.network import (BatchNorm2d, GroupConvLayer, UnfoldedNetwork,
                               ista_step_residual_form, task_loss,
                               training_loss)
@@ -64,7 +64,9 @@ class TestGroupConvLayer:
         # the layer's expansion agrees with the group-core orbit per channel
         layer = random_layer(rng, in_channels=2, num_groups=2, group_order=3)
         bank = layer.weight_bank().data
-        for k, (action, basis) in enumerate(zip(layer.groups, layer.bases)):
+        for k, basis in enumerate(layer.bases):
+            action = GroupAction(Tensor(layer.action.a.data[k]),
+                                 Tensor(layer.action.a_tilde.data[k]), 3, 3, 3)
             for c in range(2):
                 orbit = expand_orbit(action, basis.data[c])
                 for j, element in enumerate(orbit.expanded):
@@ -283,8 +285,8 @@ class TestUnfoldedNetwork:
         layer = net.layers[0]
         layer.bases[0].data = np.ones((1, 1, 1))
         layer.lam.data = np.zeros(1)
-        layer.groups[0].a.data = np.eye(1)
-        layer.groups[0].a_tilde.data = np.eye(1)
+        layer.action.a.data = np.eye(1)[None]
+        layer.action.a_tilde.data = np.eye(1)[None]
         x = Tensor(rng.random((2, 1, 8, 8)) + 0.1)
         loss = training_loss(net, x, mu=0.001)
         assert loss.item() == pytest.approx(0.0, abs=1e-20)
@@ -446,3 +448,117 @@ def test_unknown_loss_variant_raises_through_both_entry_points(rng):
         cfg = RunConfig(mu=mu, loss_variant="bogus")   # not validated
         with pytest.raises(ValueError, match="bogus"):
             training_loss_from_task(net, task_loss(net, x, labels), cfg)
+
+
+def per_group_bank(layer):
+    """The bank built group by group with the per-group column formula."""
+    n = layer.filter_size
+    filters = []
+    for k, basis in enumerate(layer.bases):
+        a = layer.action.a.data[k]
+        element = basis.data
+        filters.append(element)
+        for _ in range(layer.group_order - 1):
+            c = element.shape[0]
+            cols = element.transpose(0, 2, 1).reshape(c, n * n)
+            element = (cols @ a.T).reshape(c, n, n).transpose(0, 2, 1)
+            filters.append(element)
+    return np.stack(filters)
+
+
+def v1_state_shapes(num_layers, num_groups, group_order, channels, size):
+    """Checkpoint name -> shape, one generator per name (format v1)."""
+    d = size * size
+    shapes = {}
+    for i in range(num_layers):
+        for k in range(num_groups):
+            shapes[f"layers.{i}.groups.{k}.A"] = (d, d)
+            shapes[f"layers.{i}.groups.{k}.A_tilde"] = (d, d)
+            shapes[f"layers.{i}.bases.{k}"] = (channels, size, size)
+        shapes[f"layers.{i}.lam"] = (num_groups * group_order,)
+    for i in range(num_layers - 1):
+        for field in ("gamma", "beta", "running_mean", "running_var"):
+            shapes[f"bn.{i}.{field}"] = (num_groups * group_order,)
+        shapes[f"bn.{i}.initialized"] = ()
+    shapes["head.weight"] = (10, num_groups * group_order * 16)
+    shapes["head.bias"] = (10,)
+    return shapes
+
+
+class TestStackedGenerators:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_bank_equals_per_group_loop(self, channels, dtype, rng):
+        layer = GroupConvLayer(channels, 5, 4, 6, 0.5, rng, dtype=dtype)
+        layer.action.a.data = (layer.action.a.data + 0.3 * rng.standard_normal(
+            layer.action.a.shape)).astype(dtype)
+        bank = layer.weight_bank().data
+        assert bank.dtype == dtype
+        assert np.array_equal(bank, per_group_bank(layer))
+
+    def test_seed_draws_generators_in_per_group_order(self):
+        layer = GroupConvLayer(2, 3, 2, 3, 0.5, np.random.default_rng(5),
+                               init_eps=0.02)
+        rng = np.random.default_rng(5)
+        for k in range(3):
+            a = np.eye(9) + 0.02 * rng.standard_normal((9, 9))
+            a_tilde = np.eye(9) + 0.02 * rng.standard_normal((9, 9))
+            assert np.array_equal(layer.action.a.data[k], a)
+            assert np.array_equal(layer.action.a_tilde.data[k], a_tilde)
+        scale = 0.1 / np.sqrt(2 * 9)
+        for basis in layer.bases:
+            assert np.array_equal(basis.data,
+                                  scale * rng.standard_normal((2, 3, 3)))
+
+    def test_one_stacked_parameter_pair_per_layer(self, rng):
+        net = tiny_network(rng=rng, num_layers=3, num_groups=4)
+        params = net.parameters()
+        for i in range(3):
+            assert params[f"layers.{i}.A"].shape == (4, 9, 9)
+            assert params[f"layers.{i}.A_tilde"].shape == (4, 9, 9)
+        assert not any(".groups." in name for name in params)
+
+    def test_state_names_are_the_v1_names(self, rng):
+        net = tiny_network(rng=rng, num_layers=3, num_groups=4)
+        shapes = v1_state_shapes(3, 4, 2, 1, 3)
+        state = net.state_arrays()
+        assert set(state) == set(shapes)
+        assert {k: v.shape for k, v in state.items()} == shapes
+
+    def test_v1_state_loads_and_round_trips(self, rng):
+        net = tiny_network(rng=rng, num_layers=3, num_groups=4)
+        v1 = {name: rng.standard_normal(shape)
+              for name, shape in v1_state_shapes(3, 4, 2, 1, 3).items()}
+        for i in range(2):
+            v1[f"bn.{i}.initialized"] = np.asarray(1.0)
+        net.load_state_arrays(v1)
+        for k in range(4):
+            assert np.array_equal(net.layers[1].action.a_tilde.data[k],
+                                  v1[f"layers.1.groups.{k}.A_tilde"])
+        state = net.state_arrays()
+        for name, arr in v1.items():
+            assert np.array_equal(state[name], arr), name
+
+    def test_missing_group_names_the_tensor(self, rng):
+        net = tiny_network(rng=rng, num_layers=3, num_groups=4)
+        state = net.state_arrays()
+        del state["layers.1.groups.3.A_tilde"]
+        other = tiny_network(rng=rng, num_layers=3, num_groups=4)
+        with pytest.raises(KeyError, match=r"layers\.1\.groups\.3\.A_tilde"):
+            other.load_state_arrays(state)
+
+    @pytest.mark.parametrize("variant", ["aux_inverse", "svd_sum"])
+    def test_one_penalty_call_per_layer(self, variant, rng, monkeypatch):
+        import orbitnet.network as network
+        calls = []
+        for name in ("invertibility_loss", "svd_invertibility_loss"):
+            original = getattr(network, name)
+            monkeypatch.setattr(
+                network, name,
+                lambda action, *args, f=original, **kw:
+                calls.append(action.a.shape) or f(action, *args, **kw))
+        net = tiny_network(rng=rng, num_layers=4, num_groups=5)
+        x = Tensor(rng.random((2, 1, 8, 8)))
+        training_loss(net, x, rng.integers(0, 10, 2), mu=0.01,
+                      loss_variant=variant)
+        assert calls == [(5, 9, 9)] * 4

@@ -69,6 +69,17 @@ class TestAdam:
         with pytest.raises(FloatingPointError, match="weights"):
             opt.step()
 
+    def test_non_finite_error_names_first_bad_entry(self, rng):
+        # with a stacked generator the name alone does not say which group
+        p = parameter(rng.standard_normal((3, 2, 4)))
+        opt = Adam({"layers.0.A": p})
+        p.grad = np.zeros((3, 2, 4))
+        p.grad[2, 1, 3] = np.inf
+        p.grad[1, 0, 2] = np.nan
+        with pytest.raises(FloatingPointError,
+                           match=r"'layers\.0\.A'.*first at index \(1, 0, 2\)"):
+            opt.step()
+
 
 class TestSchedule:
     def test_halving_milestones(self):

@@ -80,3 +80,33 @@ class TestSingularValueGradients:
         weights = rng.random(4) + 0.5
         check_gradients(lambda: (singular_values(a) * weights).sum(),
                         {"a": a})
+
+
+class TestStackedSingularValues:
+    def test_stack_equals_per_matrix_calls(self, rng):
+        a = rng.standard_normal((4, 6, 6))
+        a[2] = np.diag([3.0, 2.0, 1.0, 0.0, 0.0, 0.5])
+        u, s, v = jacobi_svd(a)
+        sigma = singular_values(parameter(a)).data
+        for k in range(4):
+            uk, sk, vk = jacobi_svd(a[k])
+            assert np.array_equal(u[k], uk)
+            assert np.array_equal(s[k], sk)
+            assert np.array_equal(v[k], vk)
+            assert np.array_equal(sigma[k], singular_values(
+                parameter(a[k])).data)
+
+    def test_stack_gradient_equals_per_matrix_gradients(self, rng):
+        a = parameter(rng.standard_normal((3, 5, 5)))
+        weights = rng.random((3, 5)) + 0.5
+        (singular_values(a) * weights).sum().backward()
+        for k in range(3):
+            ak = parameter(a.data[k].copy())
+            (singular_values(ak) * weights[k]).sum().backward()
+            assert np.array_equal(a.grad[k], ak.grad)
+
+    def test_gradcheck_stack(self, rng):
+        a = parameter(rng.standard_normal((2, 4, 4)))
+        weights = rng.random((2, 4)) + 0.5
+        check_gradients(lambda: (singular_values(a) * weights).sum(),
+                        {"a": a})

@@ -139,6 +139,42 @@ class TestBasicGradients:
         check_gradients(lambda: ((u @ a) ** 2).sum(), {"u": u, "a": a})
         check_gradients(lambda: (u @ (a @ v)) ** 2, {"u": u, "a": a, "v": v})
 
+    @pytest.mark.parametrize("shapes", [((3, 2, 4), (3, 4, 5)),
+                                        ((3, 2, 4), (4, 5)),
+                                        ((2, 4), (3, 4, 5)),
+                                        ((2, 1, 2, 4), (3, 4, 5)),
+                                        ((3, 2, 4), (1, 4, 5))])
+    def test_matmul_stack_gradients(self, shapes, rng):
+        a = parameter(rng.standard_normal(shapes[0]))
+        b = parameter(rng.standard_normal(shapes[1]))
+        assert np.array_equal((a @ b).data, np.matmul(a.data, b.data))
+        check_gradients(lambda: ((a @ b) ** 2).sum(), {"a": a, "b": b})
+
+    def test_matmul_vector_against_stack_rejected(self, rng):
+        with pytest.raises(ValueError, match="1-D"):
+            Tensor(rng.standard_normal(4)) @ Tensor(
+                rng.standard_normal((3, 4, 5)))
+
+    @pytest.mark.parametrize("axis", [None, 0, (1, 2), (-2, -1)])
+    def test_frobenius_norm_over_axes(self, axis, rng):
+        x = parameter(rng.standard_normal((3, 4, 5)))
+        got = frobenius_norm(x, axis=axis)
+        np.testing.assert_allclose(
+            got.data, np.sqrt(np.sum(x.data ** 2, axis=axis)), rtol=1e-15)
+        weights = rng.random(got.shape) + 0.5
+        check_gradients(lambda: (frobenius_norm(x, axis=axis)
+                                 * weights).sum(), {"x": x})
+
+    def test_frobenius_zero_slice_has_zero_subgradient(self, rng):
+        x = parameter(rng.standard_normal((3, 4, 5)))
+        x.data[1] = 0.0
+        (grad,) = gradient_of(frobenius_norm(x, axis=(-2, -1)).sum(), [x])
+        assert np.all(np.isfinite(grad))
+        assert np.array_equal(grad[1], np.zeros((4, 5)))
+        for k in (0, 2):
+            np.testing.assert_allclose(
+                grad[k], x.data[k] / np.linalg.norm(x.data[k]), rtol=1e-14)
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
