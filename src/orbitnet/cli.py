@@ -9,14 +9,17 @@ import argparse
 import os
 import sys
 
+from .config import (DATA_SOURCES, DATASETS, LOSS_VARIANTS, PRECISIONS, TASKS,
+                     load_config)
+
 
 def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--data-root", default=None)
-    parser.add_argument("--data-source", default=None,
-                        choices=["auto", "files", "download", "synthetic"])
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--out", dest="out_dir", metavar="OUT",
+                        help="output directory")
+    parser.add_argument("--data-root")
+    parser.add_argument("--data-source", choices=DATA_SOURCES)
+    parser.add_argument("--threads", type=int,
                         help="cap BLAS/OpenMP threads (1 = deterministic "
                              "single-threaded mode)")
 
@@ -31,29 +34,26 @@ def build_parser():
     train = sub.add_parser("train", help="train a network and checkpoint it")
     _add_common(train)
     train.add_argument("--config", help="JSON file with RunConfig fields")
-    train.add_argument("--dataset", choices=["mnist", "cifar10"], default=None)
-    train.add_argument("--task", choices=["classification", "reconstruction"],
-                       default=None)
-    train.add_argument("--epochs", type=int, default=None)
-    train.add_argument("--subset", type=int, default=None)
-    train.add_argument("--batch-size", type=int, default=None)
-    train.add_argument("--mu", type=float, default=None)
-    train.add_argument("--loss-variant", default=None,
-                       choices=["aux_inverse", "svd_sum", "svd_logdet"])
-    train.add_argument("--lr", type=float, default=None)
-    train.add_argument("--precision", choices=["float32", "float64"],
-                       default=None)
+    train.add_argument("--dataset", choices=DATASETS)
+    train.add_argument("--task", choices=TASKS)
+    train.add_argument("--epochs", type=int)
+    train.add_argument("--subset", type=int)
+    train.add_argument("--batch-size", type=int)
+    train.add_argument("--mu", type=float)
+    train.add_argument("--loss-variant", choices=LOSS_VARIANTS)
+    train.add_argument("--lr", type=float)
+    train.add_argument("--precision", choices=PRECISIONS)
 
-    synth = sub.add_parser("synthetic",
+    # unset options stay out of args, so run_synthetic's defaults apply
+    synth = sub.add_parser("synthetic", argument_default=argparse.SUPPRESS,
                            help="fit linear patch transforms over the "
                                 "rotation/pooling/composition grid")
     _add_common(synth)
-    synth.add_argument("--dataset", choices=["mnist", "cifar10"],
-                       default="cifar10")
-    synth.add_argument("--num-pairs", type=int, default=10000)
-    synth.add_argument("--epochs", type=int, default=200)
-    synth.add_argument("--lr", type=float, default=0.01)
-    synth.add_argument("--no-gd", action="store_true",
+    synth.add_argument("--dataset", choices=DATASETS)
+    synth.add_argument("--num-pairs", type=int)
+    synth.add_argument("--epochs", type=int)
+    synth.add_argument("--lr", type=float)
+    synth.add_argument("--no-gd", dest="run_gd", action="store_false",
                        help="skip the gradient-descent fits")
     synth.add_argument("--save-pairs", action="store_true",
                        help="persist each cell's training pairs as CSV "
@@ -63,14 +63,13 @@ def build_parser():
                              help="structure reports for a checkpoint")
     analyze.add_argument("checkpoint")
     analyze.add_argument("--out", required=True)
-    analyze.add_argument("--config", default=None,
+    analyze.add_argument("--config",
                          help="config.json (defaults to the checkpoint's "
                               "sibling)")
-    analyze.add_argument("--threads", type=int, default=None)
+    analyze.add_argument("--threads", type=int)
 
     fetch = sub.add_parser("fetch", help="download dataset archives")
-    fetch.add_argument("--dataset", choices=["mnist", "cifar10"],
-                       required=True)
+    fetch.add_argument("--dataset", choices=DATASETS, required=True)
     fetch.add_argument("--data-root", default="data")
     return parser
 
@@ -84,32 +83,17 @@ def _set_threads(count):
 
 
 def cmd_train(args):
-    from .config import load_config
     from .train import run_training
-    overrides = {
-        "seed": args.seed, "out_dir": args.out, "dataset": args.dataset,
-        "task": args.task, "epochs": args.epochs, "subset": args.subset,
-        "batch_size": args.batch_size, "mu": args.mu,
-        "loss_variant": args.loss_variant, "lr": args.lr,
-        "precision": args.precision, "data_root": args.data_root,
-        "data_source": args.data_source,
-    }
-    cfg = load_config(args.config, overrides)
-    out = run_training(cfg)
+    out = run_training(load_config(args.config, vars(args)))
     print(f"run complete: {out}")
     return 0
 
 
 def cmd_synthetic(args):
     from .train import run_synthetic
-    out = run_synthetic(
-        out_dir=args.out or "runs/synthetic",
-        data_root=args.data_root or "data",
-        data_source=args.data_source or "auto",
-        seed=args.seed if args.seed is not None else 0,
-        num_pairs=args.num_pairs, epochs=args.epochs, lr=args.lr,
-        run_gd=not args.no_gd, dataset=args.dataset,
-        save_pairs=args.save_pairs)
+    options = {k: v for k, v in vars(args).items()
+               if k not in ("command", "threads")}
+    out = run_synthetic(**options)
     print(f"synthetic grid complete: {out}")
     return 0
 

@@ -7,6 +7,7 @@ TASKS = ("classification", "reconstruction")
 DATASETS = ("mnist", "cifar10")
 LOSS_VARIANTS = ("aux_inverse", "svd_sum", "svd_logdet")
 DATA_SOURCES = ("auto", "files", "download", "synthetic")
+PRECISIONS = ("float32", "float64")   # numpy dtype names
 
 # default regularization weight per invertibility-loss variant
 DEFAULT_MU = {"aux_inverse": 0.001, "svd_sum": 0.01, "svd_logdet": 0.01}
@@ -54,8 +55,8 @@ class RunConfig:
         if self.data_source not in DATA_SOURCES:
             problems.append(f"data_source must be one of {DATA_SOURCES}, "
                             f"got {self.data_source!r}")
-        if self.precision not in ("float32", "float64"):
-            problems.append(f"precision must be float32 or float64, "
+        if self.precision not in PRECISIONS:
+            problems.append(f"precision must be one of {PRECISIONS}, "
                             f"got {self.precision!r}")
         for name in ("num_layers", "num_groups", "group_order", "filter_size",
                      "batch_size"):
@@ -81,16 +82,21 @@ class RunConfig:
 
 
 def load_config(path=None, overrides=None):
-    """Build a RunConfig from an optional JSON file plus override mapping."""
+    """Build a RunConfig from an optional JSON file plus override mapping.
+
+    Unknown keys in the file are an error; overrides that are None or not
+    RunConfig fields (the CLI's other options) are ignored.
+    """
+    known = {f.name for f in fields(RunConfig)}
     values = {}
     if path is not None:
         with open(path) as fh:
             loaded = json.load(fh)
-        known = {f.name for f in fields(RunConfig)}
         unknown = set(loaded) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         values.update(loaded)
     if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
+        values.update({k: v for k, v in overrides.items()
+                       if k in known and v is not None})
     return RunConfig(**values).validate()

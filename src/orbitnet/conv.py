@@ -18,6 +18,12 @@ k*k data duplication on the narrow side:
     is cropped. Used when the output has fewer channels.
 The kernel gradient windows the padded input when it is narrow, else the
 padded output gradient. Nothing padded is kept from forward to backward.
+
+Both strategies stay: they are transposes of each other, and one alone
+would again need a k*k-wide im2col of the 20-channel code (113 MiB of peak
+memory at the reference shape). A single kernel-gradient route that always
+windows the narrow operand is bitwise equal but slower in float32 at
+3x32x32 (1.6 -> 2.4-2.7 ms per call, one thread).
 """
 
 import numpy as np

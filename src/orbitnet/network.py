@@ -15,6 +15,7 @@ one [K, d, d] stack; checkpoints still name them one group at a time.
 
 import numpy as np
 
+from .config import TASKS
 from .conv import avg_pool_to, conv2d_adjoint, conv2d_same
 from .groups import GroupAction, expand_orbit, invertibility_loss, \
     svd_invertibility_loss
@@ -177,12 +178,11 @@ class UnfoldedNetwork:
     def __init__(self, task, in_channels, num_layers, num_groups, group_order,
                  filter_size, alpha, rng, num_classes=10, tied=False,
                  one_sided=True, init_eps=0.01, dtype=np.float64):
-        if task not in ("classification", "reconstruction"):
+        if task not in TASKS:
             raise ValueError(f"unknown task: {task!r}")
         self.task = task
         self.tied = tied
         self.training = True
-        self.dtype = dtype
         layers = [GroupConvLayer(in_channels, num_groups, group_order,
                                  filter_size, alpha, rng, one_sided=one_sided,
                                  init_eps=init_eps, dtype=dtype)
@@ -285,9 +285,16 @@ class UnfoldedNetwork:
         return state
 
     def load_state_arrays(self, state):
+        """Restore from `state`, which must name exactly this model's tensors."""
+        expected = set(self.state_arrays())
+        missing = sorted(expected - set(state))
+        if missing:
+            raise KeyError(f"checkpoint is missing tensors {missing}")
+        extra = sorted(set(state) - expected)
+        if extra:
+            raise ValueError(f"checkpoint has tensors the model does not "
+                             f"have: {extra}")
         for name, (p, index) in self._checkpoint_slots().items():
-            if name not in state:
-                raise KeyError(f"checkpoint is missing tensor {name!r}")
             if state[name].shape != p.data[index].shape:
                 raise ValueError(
                     f"shape mismatch for {name!r}: checkpoint has "

@@ -278,23 +278,8 @@ class Tensor:
                               (a,), backward)
 
     def mean(self, axis=None, keepdims=False):
-        a = self
-        shape = a.shape
-        if axis is None:
-            count = a.size
-        else:
-            axes = (axis,) if isinstance(axis, int) else tuple(axis)
-            count = int(np.prod([shape[ax] for ax in axes]))
-
-        def backward(g):
-            if axis is None:
-                a._accumulate(np.broadcast_to(g / count, shape))
-                return
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g / count, shape))
-        return Tensor._result(a.data.mean(axis=axis, keepdims=keepdims),
-                              (a,), backward)
+        total = self.sum(axis, keepdims)
+        return total / (self.size // total.size)
 
 
 # -- free functions -----------------------------------------------------------

@@ -10,6 +10,7 @@ import json
 import time
 import warnings
 import zlib
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,8 @@ from . import data as datamod
 from .analysis import (dft_conjugate, identity_probe, save_csv,
                        save_heatmap_pgm, structure_report)
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig
-from .groups import GroupAction, invertibility_residual, order_defect
+from .config import DATA_SOURCES, DATASETS, RunConfig, load_config
+from .groups import invertibility_residual, order_defect
 from .network import UnfoldedNetwork, add_invertibility_penalty, task_loss
 from .optim import Adam, lr_at
 from .probe import analytic_operator, fit_action_gd, fit_action_lstsq
@@ -34,8 +35,14 @@ def resolve_dataset(name, root, source, split="train"):
     `source` narrows the strategy: "files" never falls back, "download"
     fetches the canonical archives, "synthetic" (or "auto" with no local
     files) writes a procedurally generated stand-in in the same binary
-    format and loads it through the same parser.
+    format, once, and loads it through the same parser.
     """
+    if name not in DATASETS:
+        raise ValueError(f"unknown dataset {name!r}: expected one of "
+                         f"{DATASETS}")
+    if source not in DATA_SOURCES:
+        raise ValueError(f"unknown data source {source!r}: expected one of "
+                         f"{DATA_SOURCES}")
     root = Path(root)
     loader = datamod.load_mnist if name == "mnist" else datamod.load_cifar10
     if source in ("auto", "files"):
@@ -49,26 +56,26 @@ def resolve_dataset(name, root, source, split="train"):
         fetch(root)
         return loader(root, split)
     synth_root = root / f"synthetic-{name}"
-    probe_file = (synth_root / datamod.MNIST_FILES["train"][0] if name == "mnist"
-                  else synth_root / "cifar-10-batches-bin" / "data_batch_1.bin")
-    if not probe_file.exists():
-        if source == "auto":
-            warnings.warn(
-                f"{name} not found under {root}; generating a synthetic "
-                f"stand-in at {synth_root}", RuntimeWarning, stacklevel=2)
-        make = (datamod.synthesize_mnist_like if name == "mnist"
-                else datamod.synthesize_cifar10_like)
-        make(synth_root, seed=SYNTHETIC_SEED)
+    try:
+        return loader(synth_root, split)
+    except FileNotFoundError:
+        pass
+    if source == "auto":
+        warnings.warn(
+            f"{name} not found under {root}; generating a synthetic "
+            f"stand-in at {synth_root}", RuntimeWarning, stacklevel=2)
+    make = (datamod.synthesize_mnist_like if name == "mnist"
+            else datamod.synthesize_cifar10_like)
+    make(synth_root, seed=SYNTHETIC_SEED)
     return loader(synth_root, split)
 
 
 def build_network(cfg: RunConfig, in_channels, rng):
-    dtype = np.float32 if cfg.precision == "float32" else np.float64
     return UnfoldedNetwork(
         task=cfg.task, in_channels=in_channels, num_layers=cfg.num_layers,
         num_groups=cfg.num_groups, group_order=cfg.group_order,
         filter_size=cfg.filter_size, alpha=cfg.alpha, rng=rng,
-        tied=cfg.tied, one_sided=cfg.one_sided, dtype=dtype)
+        tied=cfg.tied, one_sided=cfg.one_sided, dtype=cfg.precision)
 
 
 def _epoch_record(net, cfg, epoch, mean_task_loss):
@@ -95,8 +102,7 @@ def run_training(cfg: RunConfig, out_dir=None):
     order = rng.permutation(len(dataset))
     if cfg.subset is not None:
         order = order[:cfg.subset]
-    dtype = np.float32 if cfg.precision == "float32" else np.float64
-    images = dataset.images[order].astype(dtype)
+    images = dataset.images[order].astype(cfg.precision)
     labels = dataset.labels[order]
 
     net = build_network(cfg, images.shape[1], rng)
@@ -157,10 +163,10 @@ def paper_transform_grid():
     return cells
 
 
-def run_synthetic(out_dir, data_root="data", data_source="auto", seed=0,
-                  num_pairs=10000, holdout=1000, epochs=200, lr=0.01,
-                  transforms=None, run_gd=True, dataset="cifar10",
-                  save_pairs=False):
+def run_synthetic(out_dir="runs/synthetic", data_root="data",
+                  data_source="auto", seed=0, num_pairs=10000, holdout=1000,
+                  epochs=200, lr=0.01, transforms=None, run_gd=True,
+                  dataset="cifar10", save_pairs=False):
     """Fit every grid cell by least squares and (optionally) gradient descent."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -201,38 +207,33 @@ def run_synthetic(out_dir, data_root="data", data_source="auto", seed=0,
 # -- analysis driver -------------------------------------------------------------
 
 def run_analysis(checkpoint_path, out_dir, config_path=None):
-    """Structure reports and heatmaps for every group action in a checkpoint."""
+    """Structure reports and heatmaps for every group action in a checkpoint.
+
+    The checkpoint is loaded, in float64, into the network that the config
+    describes; any mismatch fails before a report is written.
+    """
     checkpoint_path = Path(checkpoint_path)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if config_path is None:
         config_path = checkpoint_path.parent / "config.json"
-    with open(config_path) as fh:
-        cfg = RunConfig(**json.load(fh))
+    cfg = replace(load_config(config_path), precision="float64")
     arrays = load_checkpoint(checkpoint_path)
-    n = m = cfg.filter_size
+    net = build_network(cfg, arrays["layers.0.bases.0"].shape[0],
+                        np.random.default_rng(cfg.seed))
+    net.load_state_arrays(arrays)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     reports = []
-    for li in range(1 if cfg.tied else cfg.num_layers):
-        for ki in range(cfg.num_groups):
-            a = arrays[f"layers.{li}.groups.{ki}.A"]
-            a_tilde = arrays[f"layers.{li}.groups.{ki}.A_tilde"]
-            action = GroupAction(Tensor(a), Tensor(a_tilde),
-                                 cfg.group_order, n, m)
-            report = structure_report(action, layer=li, group=ki)
-            reports.append(report)
-            stem = f"layer{li}_group{ki}"
-            (out / f"{stem}_report.json").write_text(report.to_json())
-            save_csv(out / f"{stem}_A.csv", a)
-            save_heatmap_pgm(out / f"{stem}_A.pgm", a)
-            save_heatmap_pgm(out / f"{stem}_probe.pgm",
-                             identity_probe(action))
-            save_heatmap_pgm(out / f"{stem}_dft.pgm",
-                             np.abs(dft_conjugate(a)))
-    index = [{"layer": r.layer, "group": r.group, "skew": r.skew,
-              "toeplitz": r.toeplitz, "dft_offdiag": r.dft_offdiag,
-              "order_defect": r.order_defect,
-              "min_singular_value": r.min_singular_value,
-              "invertibility_residual": r.invertibility_residual}
+    for li, ki, action in net.group_actions():
+        a = action.a.data
+        report = structure_report(action, layer=li, group=ki)
+        reports.append(report)
+        stem = f"layer{li}_group{ki}"
+        (out / f"{stem}_report.json").write_text(report.to_json())
+        save_csv(out / f"{stem}_A.csv", a)
+        save_heatmap_pgm(out / f"{stem}_A.pgm", a)
+        save_heatmap_pgm(out / f"{stem}_probe.pgm", identity_probe(action))
+        save_heatmap_pgm(out / f"{stem}_dft.pgm", np.abs(dft_conjugate(a)))
+    index = [{k: v for k, v in asdict(r).items() if not isinstance(v, list)}
              for r in reports]
     (out / "index.json").write_text(json.dumps(index, indent=2,
                                                sort_keys=True))

@@ -1,17 +1,25 @@
 """End-to-end command drivers: train, synthetic grid, analyze."""
 
+import argparse
+import inspect
 import json
 import os
 import subprocess
 import sys
+import types
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from orbitnet.analysis import load_csv
+import orbitnet
+from orbitnet import config
+from orbitnet.analysis import load_csv, structure_report
 from orbitnet.checkpoint import load_checkpoint, save_checkpoint
-from orbitnet.cli import main
+from orbitnet.cli import build_parser, main
 from orbitnet.config import RunConfig
+from orbitnet.groups import GroupAction
+from orbitnet.tensor import Tensor
 from orbitnet.data import PatchTransform, synthesize_mnist_like
 from orbitnet.train import (paper_transform_grid, resolve_dataset,
                             run_analysis, run_synthetic, run_training)
@@ -41,6 +49,24 @@ class TestResolveDataset:
         synthesize_mnist_like(tmp_path, n_train=15, n_test=5, seed=1)
         ds = resolve_dataset("mnist", tmp_path, "auto")
         assert len(ds) == 15
+
+    def test_unknown_dataset_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="'imagenet'"):
+            resolve_dataset("imagenet", tmp_path, "synthetic")
+        assert not any(tmp_path.iterdir())
+
+    def test_unknown_source_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="'bogus'"):
+            resolve_dataset("mnist", tmp_path, "bogus")
+        assert not any(tmp_path.iterdir())
+
+    def test_synthetic_stand_in_is_written_once(self, tmp_path):
+        first = resolve_dataset("cifar10", tmp_path, "synthetic")
+        stamp = {p: p.stat().st_mtime_ns for p in tmp_path.rglob("*.bin")}
+        second = resolve_dataset("cifar10", tmp_path, "synthetic", "test")
+        assert second.images.shape[1:] == first.images.shape[1:]
+        assert {p: p.stat().st_mtime_ns
+                for p in tmp_path.rglob("*.bin")} == stamp
 
 
 class TestTraining:
@@ -157,6 +183,59 @@ class TestThreads:
         assert all(n == 1 for n in probe["blas_threads"])
 
 
+def subparsers():
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestParser:
+    def test_choices_are_the_config_vocabularies(self):
+        vocabularies = [config.DATASETS, config.TASKS, config.LOSS_VARIANTS,
+                        config.PRECISIONS, config.DATA_SOURCES]
+        seen = []
+        for name, parser in subparsers().items():
+            for action in parser._actions:
+                if action.choices is not None:
+                    assert any(action.choices is v for v in vocabularies), \
+                        (name, action.option_strings)
+                    seen.append(action.choices)
+        assert all(any(c is v for c in seen) for v in vocabularies)
+
+    def test_train_options_are_config_fields(self):
+        names = {f.name for f in fields(RunConfig)}
+        for action in subparsers()["train"]._actions:
+            if action.dest not in ("help", "config", "threads"):
+                assert action.dest in names, action.option_strings
+
+    def test_synthetic_defaults_are_run_synthetic_defaults(self, monkeypatch):
+        import orbitnet.train as train
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)   # restored after --threads
+        calls = []
+        monkeypatch.setattr(train, "run_synthetic",
+                            lambda **kw: calls.append(kw) or "out")
+        main(["synthetic"])
+        main(["synthetic", "--no-gd", "--out", "o", "--seed", "2",
+              "--threads", "1"])
+        assert calls == [{}, {"run_gd": False, "out_dir": "o", "seed": 2}]
+        defaults = {k: p.default for k, p in
+                    inspect.signature(run_synthetic).parameters.items()}
+        assert defaults == {
+            "out_dir": "runs/synthetic", "data_root": "data",
+            "data_source": "auto", "seed": 0, "num_pairs": 10000,
+            "holdout": 1000, "epochs": 200, "lr": 0.01, "transforms": None,
+            "run_gd": True, "dataset": "cifar10", "save_pairs": False}
+
+
+def test_package_re_exports_nothing():
+    assert not hasattr(orbitnet, "__getattr__")
+    assert [name for name, value in vars(orbitnet).items()
+            if not name.startswith("_")
+            and not isinstance(value, types.ModuleType)] == []
+
+
 def self_config(tmp_path):
     path = tmp_path / "tiny.json"
     path.write_text(json.dumps(
@@ -241,6 +320,57 @@ class TestAnalyzeCommand:
             for suffix in ("_report.json", "_A.csv", "_A.pgm", "_probe.pgm",
                            "_dft.pgm"):
                 assert (tmp_path / "an3" / f"{stem}{suffix}").exists()
+
+    def trained_run(self, tmp_path, **kwargs):
+        out = run_training(tiny_config(tmp_path, epochs=1, **kwargs))
+        return out, json.loads((out / "config.json").read_text())
+
+    def analyze_with(self, tmp_path, out, saved, **changes):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(dict(saved, **changes)))
+        return lambda: run_analysis(out / "final.ckpt", tmp_path / "an",
+                                    path)
+
+    @pytest.mark.parametrize("changes", [{"num_groups": 1}, {"tied": True}])
+    def test_smaller_config_names_the_extra_tensors(self, tmp_path, changes):
+        out, saved = self.trained_run(tmp_path)
+        extra = ("layers.0.groups.1.A" if "num_groups" in changes
+                 else "layers.1.groups.0.A")
+        analyze = self.analyze_with(tmp_path, out, saved, **changes)
+        with pytest.raises(ValueError, match=extra.replace(".", r"\.")):
+            analyze()
+        assert not (tmp_path / "an").exists()
+
+    def test_larger_config_names_the_missing_tensor(self, tmp_path):
+        out, saved = self.trained_run(tmp_path)
+        analyze = self.analyze_with(tmp_path, out, saved, num_groups=3)
+        with pytest.raises(KeyError, match=r"layers\.0\.groups\.2\.A"):
+            analyze()
+        assert not (tmp_path / "an").exists()
+
+    def test_invalid_config_rejected(self, tmp_path):
+        out, saved = self.trained_run(tmp_path)
+        analyze = self.analyze_with(tmp_path, out, saved, epochs=-5)
+        with pytest.raises(ValueError, match="invalid configuration"):
+            analyze()
+        assert not (tmp_path / "an").exists()
+
+    def test_float32_run_is_analysed_in_float64(self, tmp_path):
+        out, saved = self.trained_run(tmp_path, precision="float32")
+        reports = run_analysis(out / "final.ckpt", tmp_path / "an32")
+        self.analyze_with(tmp_path, out, saved, precision="float64")()
+        files = sorted(p.name for p in (tmp_path / "an").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "an32").iterdir())
+        for name in files:
+            assert (tmp_path / "an" / name).read_bytes() == \
+                (tmp_path / "an32" / name).read_bytes(), name
+        arrays = load_checkpoint(out / "final.ckpt")
+        for r in reports:
+            stem = f"layers.{r.layer}.groups.{r.group}"
+            action = GroupAction(Tensor(arrays[f"{stem}.A"]),
+                                 Tensor(arrays[f"{stem}.A_tilde"]), 2, 3, 3)
+            assert r.to_json() == \
+                structure_report(action, r.layer, r.group).to_json()
 
     def test_checkpoint_version_guard(self, tmp_path):
         cfg = tiny_config(tmp_path, epochs=0)

@@ -64,5 +64,17 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="leerning_rate"):
             load_config(path)
 
+    def test_overrides_keep_only_config_fields(self, tmp_path):
+        # the CLI hands over its whole namespace, options like --threads
+        # included
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"epochs": 7}))
+        cfg = load_config(path, {"command": "train", "threads": 1,
+                                 "config": str(path), "seed": 4})
+        assert (cfg.epochs, cfg.seed) == (7, 4)
+        path.write_text(json.dumps({"epochs": 7, "threads": 1}))
+        with pytest.raises(ValueError, match="threads"):
+            load_config(path)
+
     def test_no_file_all_defaults(self):
         assert load_config().epochs == 100

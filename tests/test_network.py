@@ -547,6 +547,13 @@ class TestStackedGenerators:
         with pytest.raises(KeyError, match=r"layers\.1\.groups\.3\.A_tilde"):
             other.load_state_arrays(state)
 
+    def test_extra_tensor_is_named(self, rng):
+        net = tiny_network(rng=rng, num_layers=3, num_groups=4)
+        state = net.state_arrays()
+        state["layers.1.groups.4.A"] = np.eye(9)
+        with pytest.raises(ValueError, match=r"layers\.1\.groups\.4\.A"):
+            net.load_state_arrays(state)
+
     @pytest.mark.parametrize("variant", ["aux_inverse", "svd_sum"])
     def test_one_penalty_call_per_layer(self, variant, rng, monkeypatch):
         import orbitnet.network as network

@@ -176,6 +176,26 @@ class TestBasicGradients:
                 grad[k], x.data[k] / np.linalg.norm(x.data[k]), rtol=1e-14)
 
 
+class TestMean:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("axis", [None, 1, (0, 2), (-1,)])
+    @pytest.mark.parametrize("keepdims", [False, True])
+    def test_value_and_gradient_match_numpy_mean(self, dtype, axis,
+                                                 keepdims, rng):
+        x = parameter(rng.standard_normal((3, 4, 5)), dtype=dtype)
+        out = x.mean(axis=axis, keepdims=keepdims)
+        expected = x.data.mean(axis=axis, keepdims=keepdims)
+        assert out.dtype == dtype
+        assert np.array_equal(out.data, expected)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        (out * Tensor(g)).sum().backward()
+        count = x.size // np.size(expected)
+        g_full = g if keepdims or axis is None else np.expand_dims(g, axis)
+        assert x.grad.dtype == dtype
+        assert np.array_equal(x.grad, np.broadcast_to(g_full / count,
+                                                      x.shape))
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
         logits = Tensor(np.zeros((2, 10)))
