@@ -13,10 +13,14 @@ Layout (all integers little-endian):
             4*nd  extents (uint32 each)
             8*n   payload, float64 little-endian, C order
 
-Tensors restore in file order; names must be unique.
+Tensors restore in file order; names must be unique. A checkpoint is
+written to a temporary file beside its target and moved over it with
+`os.replace`, so a failed write leaves the previous file as it was.
 """
 
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -29,19 +33,26 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(path, arrays):
-    """Write a dict of name -> array (converted to float64)."""
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, len(arrays)))
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype="<f8")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            for extent in arr.shape:
-                fh.write(struct.pack("<I", extent))
-            fh.write(arr.tobytes())
+    """Write a dict of name -> array (converted to float64), atomically."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<II", VERSION, len(arrays)))
+            for name, arr in arrays.items():
+                arr = np.asarray(arr, dtype="<f8")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", arr.ndim))
+                for extent in arr.shape:
+                    fh.write(struct.pack("<I", extent))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path):

@@ -98,14 +98,29 @@ def _swap_flip(w):
     return np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
 
-def conv2d_same(x, w):
-    """Correlate x [N,C,H,W] with bank w [O,C,k,k] at stride 1, same size."""
+def conv2d_same(x, w, z=None):
+    """Correlate x [N,C,H,W] with bank w [O,C,k,k] at stride 1, same size.
+
+    Given z [N,O,H,W], returns z + that correlation as one tape node: z is
+    added in place into the correlation's own output buffer.
+    """
     x = Tensor._lift(x)
     w = Tensor._lift(w)
     kh, kw = w.shape[2:]
     _check_shapes(x, w.shape[1], kh, kw)
     pt, pl = (kh - 1) // 2, (kw - 1) // 2
     y = _corr(x.data, w.data, pt, pl)
+    parents = (x, w)
+    if z is not None:
+        z = Tensor._lift(z)
+        if z.shape != y.shape:
+            raise ValueError(
+                f"added term has shape {z.shape}, correlation {y.shape}")
+        y += z.data
+        # z listed first: the backward walk then visits the tape in the
+        # order it did for z + conv2d_same(x, w), so gradients that sum
+        # over more than two ops (tied layers) keep their summation order
+        parents = (z, x, w)
 
     def backward(g):
         if x.requires_grad:
@@ -113,7 +128,9 @@ def conv2d_same(x, w):
                                 kh - 1 - pt, kw - 1 - pl))
         if w.requires_grad:
             w._accumulate(_corr_grad_w(x.data, g, pt, pl, kh, kw))
-    return Tensor._result(y, (x, w), backward)
+        if z is not None and z.requires_grad:
+            z._accumulate(g)
+    return Tensor._result(y, parents, backward)
 
 
 def conv2d_adjoint(y, w):

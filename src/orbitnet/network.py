@@ -143,7 +143,7 @@ class GroupConvLayer:
                     f"code shape {z_prev.shape} does not match input "
                     f"{x.shape} with {self.out_channels} filters")
             residual = x - conv2d_adjoint(z_prev, bank)
-            u = z_prev + conv2d_same(residual, self.alpha * bank)
+            u = conv2d_same(residual, self.alpha * bank, z_prev)
         lam = self.lam.reshape(1, self.out_channels, 1, 1)
         return soft_threshold(u, lam, one_sided=self.one_sided)
 

@@ -13,13 +13,43 @@ data dtype. A Python ``int`` or ``float`` met by a binary op (``alpha * t``,
 ``var + eps``, ``1.0 - t``) is lifted in the dtype of the other operand, so
 a float32 graph stays float32: under NumPy 2 promotion rules a float64 0-d
 array would upcast everything it touches. Arrays keep their own dtype.
+
+Only leaves keep their gradients. ``backward()`` drops an op output's
+``.grad`` as soon as that op's backward has used it, as PyTorch does for
+non-leaf tensors, so a training step never holds every intermediate
+gradient at once. The ops and their parent links stay, so a second
+``backward()`` on the same graph adds the same leaf gradients again.
+
+Importing this module fixes the process's glibc heap thresholds: blocks up
+to 32 MiB come from the heap rather than from fresh mmaps, and the heap top
+is trimmed only past 1 GiB of free space. With glibc's dynamic thresholds
+the step's speed depended on heap history, and a step that frees its
+buffers early had its heap trimmed after each step and faulted back in by
+the next forward pass. The setting overrides ``MALLOC_MMAP_THRESHOLD_`` and
+``MALLOC_TRIM_THRESHOLD_``; where libc has no ``mallopt`` it is skipped.
 """
 
+import ctypes
 from contextlib import contextmanager
 
 import numpy as np
 
 _grad_enabled = True
+
+
+def _fix_heap_thresholds():
+    """mallopt(M_MMAP_THRESHOLD, 32 MiB) and mallopt(M_TRIM_THRESHOLD, 1 GiB)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 30)    # M_TRIM_THRESHOLD
+
+
+_fix_heap_thresholds()
 
 
 @contextmanager
@@ -115,7 +145,10 @@ class Tensor:
         self.grad = grad if self.grad is None else self.grad + grad
 
     def backward(self):
-        """Reverse-mode pass from this scalar; fills `.grad` on reachable leaves."""
+        """Reverse-mode pass from this scalar; fills `.grad` on reachable leaves.
+
+        An op output's gradient is dropped once its backward has run.
+        """
         if self.size != 1:
             raise ValueError(
                 f"backward() requires a scalar loss, got shape {self.shape}")
@@ -142,6 +175,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -7,6 +7,8 @@ sidecar so that identical runs produce byte-identical metrics files.
 """
 
 import json
+import resource
+import sys
 import time
 import warnings
 import zlib
@@ -90,8 +92,18 @@ def _epoch_record(net, cfg, epoch, mean_task_loss):
     }
 
 
+def _peak_rss_mb():
+    """This process's peak resident memory so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+
+
 def run_training(cfg: RunConfig, out_dir=None):
-    """Full training run; returns the output directory path."""
+    """Full training run; returns the output directory path.
+
+    A `FloatingPointError` from a step (Adam's non-finite gradient check
+    names the parameter) is re-raised with the epoch and batch index.
+    """
     cfg.validate()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -116,15 +128,20 @@ def run_training(cfg: RunConfig, out_dir=None):
             opt.lr = lr_at(epoch, cfg.epochs, cfg.lr)
             perm = rng.permutation(images.shape[0])
             batch_losses = []
-            for lo in range(0, images.shape[0], cfg.batch_size):
+            for batch, lo in enumerate(
+                    range(0, images.shape[0], cfg.batch_size)):
                 idx = perm[lo:lo + cfg.batch_size]
                 xb = Tensor(images[idx])
                 yb = labels[idx]
-                opt.zero_grad()
-                task = task_loss(net, xb, yb)
-                total = training_loss_from_task(net, task, cfg)
-                total.backward()
-                opt.step()
+                try:
+                    opt.zero_grad()
+                    task = task_loss(net, xb, yb)
+                    total = training_loss_from_task(net, task, cfg)
+                    total.backward()
+                    opt.step()
+                except FloatingPointError as err:
+                    raise FloatingPointError(
+                        f"epoch {epoch}, batch {batch}: {err}") from err
                 net.clamp_thresholds()
                 batch_losses.append(float(task.data))
             record = _epoch_record(net, cfg, epoch,
@@ -133,7 +150,8 @@ def run_training(cfg: RunConfig, out_dir=None):
             metrics.flush()
             timing.write(json.dumps(
                 {"epoch": epoch,
-                 "seconds": time.perf_counter() - start}) + "\n")
+                 "seconds": time.perf_counter() - start,
+                 "peak_rss_mb": _peak_rss_mb()}) + "\n")
             timing.flush()
     save_checkpoint(out / "final.ckpt", net.state_arrays())
     return out

@@ -88,3 +88,14 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"extra")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path, rng):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, {"w": rng.standard_normal(4)})
+        before = path.read_bytes()
+        # the second tensor cannot be converted, after the first is written
+        with pytest.raises(ValueError):
+            save_checkpoint(path, {"w": rng.standard_normal(8),
+                                   "bad": "not a number"})
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]

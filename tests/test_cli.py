@@ -94,6 +94,29 @@ class TestTraining:
                   (out / "timing.jsonl").read_text().splitlines()]
         assert len(timing) == 2 and "seconds" in timing[0]
 
+    def test_timing_records_peak_memory(self, tmp_path):
+        out = run_training(tiny_config(tmp_path))
+        timing = [json.loads(line) for line in
+                  (out / "timing.jsonl").read_text().splitlines()]
+        assert len(timing) == 2
+        assert all(t["peak_rss_mb"] > 0 for t in timing)
+        assert "peak_rss_mb" not in (out / "metrics.jsonl").read_text()
+
+    def test_non_finite_step_names_epoch_batch_and_parameter(
+            self, tmp_path, monkeypatch):
+        import orbitnet.train as train
+        real = train.resolve_dataset
+
+        def with_nan(*args, **kwargs):
+            dataset = real(*args, **kwargs)
+            dataset.images = np.full(dataset.images.shape, np.nan)
+            return dataset
+        monkeypatch.setattr(train, "resolve_dataset", with_nan)
+        with pytest.raises(FloatingPointError,
+                           match=r"^epoch 0, batch 0: non-finite gradient "
+                                 r"for 'layers\.0\.A'"):
+            run_training(tiny_config(tmp_path))
+
     def test_reconstruction_task_runs(self, tmp_path):
         cfg = tiny_config(tmp_path, task="reconstruction", epochs=1)
         out = run_training(cfg)

@@ -209,3 +209,42 @@ class TestAvgPool:
     def test_gradcheck(self, rng):
         x = parameter(rng.standard_normal((2, 3, 8, 8)))
         check_gradients(lambda: (avg_pool_to(x, 4, 4) ** 2).sum(), {"x": x})
+
+
+class TestConvWithAddend:
+    """conv2d_same(x, w, z) is z + conv2d_same(x, w), as one tape node."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(2, 1, 6, 6, 20, 6),
+                                       (2, 4, 7, 7, 3, 2)])
+    def test_bitwise_equal_to_separate_add(self, shape, dtype, rng):
+        n, c, h, wd, o, k = shape
+        arrays = (rng.standard_normal((n, c, h, wd)),
+                  rng.standard_normal((o, c, k, k)),
+                  rng.standard_normal((n, o, h, wd)))
+        upstream = rng.standard_normal((n, o, h, wd)).astype(dtype)
+
+        def run(fused):
+            x, w, z = (parameter(a, dtype=dtype) for a in arrays)
+            out = conv2d_same(x, w, z) if fused else z + conv2d_same(x, w)
+            (out * upstream).sum().backward()
+            return out.data, x.grad, w.grad, z.grad
+
+        for fused, separate in zip(run(True), run(False)):
+            assert fused.dtype == dtype
+            np.testing.assert_array_equal(fused, separate)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gradcheck_on_both_routes(self, shape, rng):
+        n, c, h, wd, o, k = shape
+        x = parameter(rng.standard_normal((n, c, h, wd)))
+        w = parameter(rng.standard_normal((o, c, k, k)))
+        z = parameter(rng.standard_normal((n, o, h, wd)))
+        check_gradients(lambda: (conv2d_same(x, w, z) ** 2).sum(),
+                        {"x": x, "w": w, "z": z})
+
+    def test_addend_shape_mismatch_rejected(self, rng):
+        x = rng.standard_normal((2, 1, 6, 6))
+        w = rng.standard_normal((4, 1, 3, 3))
+        with pytest.raises(ValueError, match="added term"):
+            conv2d_same(x, w, rng.standard_normal((1, 4, 6, 6)))
