@@ -15,7 +15,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .groups import apply_action
+from .groups import (apply_action, invertibility_residual,
+                     min_singular_value, order_defect)
 
 
 def identity_probe(action):
@@ -105,7 +106,7 @@ def quadrant_signs(a):
 
 @dataclass
 class StructureReport:
-    """One generator's scores; the residual is ||A A~ - I||_F / sqrt(d)."""
+    """One generator's scores; the residual is the raw ||A A~ - I||_F."""
     layer: int
     group: int
     skew: float
@@ -122,12 +123,8 @@ class StructureReport:
 
 
 def structure_report(action, layer=0, group=0):
-    """Full report for one learned generator."""
-    from .groups import (invertibility_residual, min_singular_value,
-                         order_defect)
+    """One generator's report; the residual is the one metrics.jsonl logs."""
     a = action.a.data
-    residual = invertibility_residual(action) / np.sqrt(a.shape[0])
-    probe = identity_probe(action)
     return StructureReport(
         layer=layer,
         group=group,
@@ -136,9 +133,9 @@ def structure_report(action, layer=0, group=0):
         dft_offdiag=offdiag_energy(dft_conjugate(a)),
         order_defect=order_defect(action),
         min_singular_value=min_singular_value(action),
-        invertibility_residual=residual,
+        invertibility_residual=invertibility_residual(action),
         quadrant_signs=quadrant_signs(a).tolist(),
-        identity_probe=probe.tolist(),
+        identity_probe=identity_probe(action).tolist(),
     )
 
 

@@ -208,7 +208,7 @@ def fetch_mnist(root):
 
 
 def fetch_cifar10(root):
-    """Download and unpack the color-image archive; verifies pinned md5."""
+    """Download, md5-check and unpack the color archive inside `root` only."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     if (root / "cifar-10-batches-bin" / "data_batch_1.bin").exists():
@@ -221,7 +221,7 @@ def fetch_cifar10(root):
         raise DatasetFormatError(
             f"{archive}: md5 {digest} != pinned {CIFAR_MD5}")
     with tarfile.open(archive) as tar:
-        tar.extractall(root)
+        tar.extractall(root, filter="data")
 
 
 # -- synthetic stand-ins ---------------------------------------------------------

@@ -9,8 +9,8 @@ elements is the orbit of a basis filter under repeated application of that
 map. Nothing makes A^p = I: p is only the orbit length, and
 `order_defect` measures the distance. A `GroupAction` holds one generator
 or a [K, d, d] stack of them (a network layer holds one stack of its K
-groups); the action, the orbit and the losses take either, while the
-residual, order defect and minimum singular value take one generator.
+groups); the action, the orbit and the losses take either, and so do the
+diagnostics, which give one float64 value per generator.
 
 Invertibility of the generator (membership in the general linear group) is
 encouraged during training either through an auxiliary inverse-candidate
@@ -168,14 +168,20 @@ def svd_invertibility_loss(action, mu, variant="sum"):
     raise ValueError(f"unknown svd loss variant: {variant!r}")
 
 
+def _frobenius(m):
+    """||M||_F per matrix by one BLAS dot each, as `np.linalg.norm` takes."""
+    flat = m.reshape(*m.shape[:-2], -1)
+    return np.sqrt(np.vecdot(flat, flat))
+
+
 def invertibility_residual(action):
     """Raw ||A A~ - I||_F, against a float64 identity for every dtype."""
     a = action.a.data
-    return float(np.linalg.norm(a @ action.a_tilde.data - np.eye(a.shape[0])))
+    return _frobenius(a @ action.a_tilde.data - np.eye(a.shape[-1]))
 
 
 def min_singular_value(action):
-    return float(jacobi_svd(action.a.data)[1][-1])
+    return jacobi_svd(action.a.data)[1].min(axis=-1)
 
 
 def order_defect(action):
@@ -187,7 +193,7 @@ def order_defect(action):
     power = a
     for _ in range(action.order - 1):
         power = power @ a
-    return float(np.linalg.norm(power - np.eye(a.shape[0])))
+    return _frobenius(power - np.eye(a.shape[-1]))
 
 
 def stack_map_to_matrix(f, n, m, rng=None, probes=3, tol=1e-9):

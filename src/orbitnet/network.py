@@ -8,7 +8,7 @@ where x is always the original input, W is the layer's filter bank applied
 convolutionally (W maps codes to image space, W^T images to code space),
 and S_lambda is the soft threshold (one-sided by default, i.e. a shifted
 rectifier with trainable per-filter bias). The bank is never stored: it is
-re-expanded on every forward pass from K basis filters and their group
+re-expanded once per unique layer and step from K basis filters and group
 generators, so gradients reach both. Each layer holds its K generators as
 one [K, d, d] stack; checkpoints still name them one group at a time.
 """
@@ -128,12 +128,12 @@ class GroupConvLayer:
             self.out_channels, self.in_channels, self.filter_size,
             self.filter_size)
 
-    def forward(self, x, z_prev=None):
-        """One ISTA step; z_prev=None means the all-zero initial code."""
+    def forward(self, x, z_prev=None, bank=None):
+        """One ISTA step; None stands for the zero code or this layer's bank."""
         if x.shape[1] != self.in_channels:
             raise ValueError(
                 f"expected {self.in_channels} input channels, got {x.shape[1]}")
-        bank = self.weight_bank()
+        bank = self.weight_bank() if bank is None else bank
         if z_prev is None:
             u = conv2d_same(x, self.alpha * bank)
         else:
@@ -207,26 +207,27 @@ class UnfoldedNetwork:
         return self
 
     def encode(self, x):
-        """Run the unfolding; returns the code after every layer."""
+        """(codes, banks): each layer's code and each unique layer's bank."""
         x = Tensor._lift(x)
-        codes = []
+        codes, banks = [], []
         z = None
         for i, layer in enumerate(self.layers):
-            z = layer.forward(x, z)
+            if not (self.tied and banks):
+                banks.append(layer.weight_bank())
+            z = layer.forward(x, z, banks[-1])
             codes.append(z)
             if i < len(self.layers) - 1:
                 z = self.bns[i].forward(z, self.training)
-        return codes
+        return codes, banks
 
     def forward(self, x):
-        x = Tensor._lift(x)
-        code = self.encode(x)[-1]
+        codes, banks = self.encode(x)
         if self.task == "classification":
-            pooled = avg_pool_to(code, self.POOLED, self.POOLED)
+            pooled = avg_pool_to(codes[-1], self.POOLED, self.POOLED)
             flat = pooled.reshape(pooled.shape[0],
                                   pooled.size // pooled.shape[0])
             return flat @ self.head_weight.transpose() + self.head_bias
-        return conv2d_adjoint(code, self.layers[0].weight_bank())
+        return conv2d_adjoint(codes[-1], banks[0])
 
     def unique_layers(self):
         return self.layers[:1] if self.tied else self.layers
@@ -251,15 +252,6 @@ class UnfoldedNetwork:
     def clamp_thresholds(self):
         for layer in self.unique_layers():
             layer.clamp_thresholds()
-
-    def group_actions(self):
-        """(layer index, group index, GroupAction on copies) per group."""
-        return [(li, k, GroupAction(
-                    Tensor(layer.action.a.data[k].copy()),
-                    Tensor(layer.action.a_tilde.data[k].copy()),
-                    layer.group_order, layer.filter_size, layer.filter_size))
-                for li, layer in enumerate(self.unique_layers())
-                for k in range(layer.num_groups)]
 
     def _checkpoint_slots(self):
         """Checkpoint name -> (parameter, index); a stack is saved per group."""

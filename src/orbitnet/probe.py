@@ -65,13 +65,13 @@ def fit_action_gd(xs, ys, epochs=200, lr=0.01):
     a = parameter(np.zeros((d, d)))
     opt = Adam({"A": a}, lr=lr)
     for epoch in range(epochs):
-        grad = scale * (a.data @ gram - cross)
-        if not np.all(np.isfinite(grad)):
+        a.grad = scale * (a.data @ gram - cross)
+        try:
+            opt.step()
+        except FloatingPointError as err:
             raise RuntimeError(
                 f"gradient fit diverged (non-finite gradient at epoch "
-                f"{epoch}); try a smaller learning rate than {lr}")
-        a.grad = grad
-        opt.step()
+                f"{epoch}); try a smaller learning rate than {lr}") from err
     mse = float(np.mean((xs @ a.data.T - ys) ** 2))
     return SyntheticFit(a_hat=a.data.copy(), train_mse=mse)
 

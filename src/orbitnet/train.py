@@ -81,14 +81,15 @@ def build_network(cfg: RunConfig, in_channels, rng):
 
 
 def _epoch_record(net, cfg, epoch, mean_task_loss):
-    actions = [action for _, _, action in net.group_actions()]
+    stacks = [layer.action for layer in net.unique_layers()]
     return {
         "epoch": epoch,
         "task_loss": mean_task_loss,
         "lr": lr_at(epoch, cfg.epochs, cfg.lr),
-        "invertibility_residual_per_group":
-            [invertibility_residual(a) for a in actions],
-        "order_defect_per_group": [order_defect(a) for a in actions],
+        "invertibility_residual_per_group": np.concatenate(
+            [invertibility_residual(s) for s in stacks]).tolist(),
+        "order_defect_per_group": np.concatenate(
+            [order_defect(s) for s in stacks]).tolist(),
     }
 
 
@@ -241,16 +242,19 @@ def run_analysis(checkpoint_path, out_dir, config_path=None):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports = []
-    for li, ki, action in net.group_actions():
-        a = action.a.data
-        report = structure_report(action, layer=li, group=ki)
-        reports.append(report)
-        stem = f"layer{li}_group{ki}"
-        (out / f"{stem}_report.json").write_text(report.to_json())
-        save_csv(out / f"{stem}_A.csv", a)
-        save_heatmap_pgm(out / f"{stem}_A.pgm", a)
-        save_heatmap_pgm(out / f"{stem}_probe.pgm", identity_probe(action))
-        save_heatmap_pgm(out / f"{stem}_dft.pgm", np.abs(dft_conjugate(a)))
+    for li, layer in enumerate(net.unique_layers()):
+        for ki, (a, at) in enumerate(zip(layer.action.a.data,
+                                         layer.action.a_tilde.data)):
+            action = replace(layer.action, a=Tensor(a), a_tilde=Tensor(at))
+            report = structure_report(action, layer=li, group=ki)
+            reports.append(report)
+            stem = f"layer{li}_group{ki}"
+            (out / f"{stem}_report.json").write_text(report.to_json())
+            save_csv(out / f"{stem}_A.csv", a)
+            save_heatmap_pgm(out / f"{stem}_A.pgm", a)
+            save_heatmap_pgm(out / f"{stem}_probe.pgm", identity_probe(action))
+            save_heatmap_pgm(out / f"{stem}_dft.pgm",
+                             np.abs(dft_conjugate(a)))
     index = [{k: v for k, v in asdict(r).items() if not isinstance(v, list)}
              for r in reports]
     (out / "index.json").write_text(json.dumps(index, indent=2,

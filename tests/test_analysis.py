@@ -201,12 +201,17 @@ class TestReportAndExports:
         parsed = json.loads(report.to_json())
         assert parsed["dft_offdiag"] == pytest.approx(0.0, abs=1e-12)
 
-    def test_report_residual_is_raw_residual_over_sqrt_d(self, rng):
+    def test_report_residual_is_the_logged_raw_residual(self, rng):
+        # one definition: the raw ||A A~ - I||_F that metrics.jsonl logs
         from orbitnet.groups import invertibility_residual
-        g = GroupAction(Tensor(rng.standard_normal((36, 36))),
-                        Tensor(rng.standard_normal((36, 36))), 4, 6, 6)
-        report = structure_report(g)
-        assert report.invertibility_residual == invertibility_residual(g) / 6
+        a = rng.standard_normal((36, 36))
+        at = rng.standard_normal((36, 36))
+        report = structure_report(GroupAction(Tensor(a), Tensor(at), 4, 6, 6))
+        assert report.invertibility_residual == float(
+            np.linalg.norm(a @ at - np.eye(36)))
+        stack = GroupAction(Tensor(a[None]), Tensor(at[None]), 4, 6, 6)
+        assert [report.invertibility_residual] == \
+            invertibility_residual(stack).tolist()
 
     def test_csv_roundtrip(self, tmp_path, rng):
         m = rng.standard_normal((6, 6))

@@ -1,10 +1,15 @@
 """Dataset parsers, patch extraction, and linear patch transforms."""
 
+import gzip
+import hashlib
+import io
 import os
+import tarfile
 
 import numpy as np
 import pytest
 
+from orbitnet import data
 from orbitnet.data import (DatasetFormatError, PatchTransform,
                            avgpool_patch, extract_patch, load_cifar10,
                            load_mnist, read_idx, rotate_patch,
@@ -12,7 +17,7 @@ from orbitnet.data import (DatasetFormatError, PatchTransform,
                            transform_pair_dataset, write_cifar_batch,
                            write_idx)
 from orbitnet.groups import vec, vec_inv
-from orbitnet.train import paper_transform_grid
+from orbitnet.train import paper_transform_grid, resolve_dataset
 
 REAL_MNIST = os.environ.get("ORBITNET_MNIST_DIR")
 REAL_CIFAR = os.environ.get("ORBITNET_CIFAR_DIR")
@@ -98,6 +103,103 @@ class TestSyntheticStandIns:
         b = load_mnist(tmp_path, "train")
         np.testing.assert_array_equal(a.images, b.images)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+
+def mnist_mirror(tmp_path, monkeypatch):
+    """gzip archives of a small IDX set behind a missing and a file:// mirror."""
+    staged, mirror = tmp_path / "staged", tmp_path / "mirror"
+    synthesize_mnist_like(staged, n_train=12, n_test=6, seed=2)
+    mirror.mkdir()
+    sizes = {}
+    for path in sorted(staged.iterdir()):
+        archive = mirror / (path.name + ".gz")
+        archive.write_bytes(gzip.compress(path.read_bytes(), mtime=0))
+        sizes[archive.name] = archive.stat().st_size
+    monkeypatch.setattr(data, "MNIST_ARCHIVE_SIZES", sizes)
+    monkeypatch.setattr(data, "MNIST_MIRRORS", (
+        (tmp_path / "missing").as_uri() + "/", mirror.as_uri() + "/"))
+    return staged
+
+
+def cifar_archive(tmp_path, monkeypatch, extra=None):
+    """A tar.gz of a small batch set as a file:// URL with its md5 pinned.
+
+    `extra` is a (member name, bytes) pair added after the batch files.
+    """
+    staged = tmp_path / "staged"
+    synthesize_cifar10_like(staged, n_train=10, n_test=4, seed=2)
+    archive = tmp_path / "cifar-10-binary.tar.gz"
+    with tarfile.open(archive, "w:gz") as tar:
+        tar.add(staged / "cifar-10-batches-bin", "cifar-10-batches-bin")
+        if extra is not None:
+            info = tarfile.TarInfo(extra[0])
+            info.size = len(extra[1])
+            tar.addfile(info, io.BytesIO(extra[1]))
+    monkeypatch.setattr(data, "CIFAR_URL", archive.as_uri())
+    monkeypatch.setattr(data, "CIFAR_MD5",
+                        hashlib.md5(archive.read_bytes()).hexdigest())
+    return staged
+
+
+class TestFetch:
+    """The download paths, served offline from archives built per test."""
+
+    def test_mnist_unpacks_through_second_mirror(self, tmp_path, monkeypatch):
+        staged = mnist_mirror(tmp_path, monkeypatch)
+        data.fetch_mnist(tmp_path / "root")
+        for split in ("train", "test"):
+            got = load_mnist(tmp_path / "root", split)
+            want = load_mnist(staged, split)
+            np.testing.assert_array_equal(got.images, want.images)
+            np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_mnist_size_mismatch_rejected(self, tmp_path, monkeypatch):
+        mnist_mirror(tmp_path, monkeypatch)
+        sizes = dict(data.MNIST_ARCHIVE_SIZES)
+        sizes["t10k-labels-idx1-ubyte.gz"] += 1
+        monkeypatch.setattr(data, "MNIST_ARCHIVE_SIZES", sizes)
+        with pytest.raises(DatasetFormatError, match="pinned"):
+            data.fetch_mnist(tmp_path / "root")
+
+    def test_mnist_no_mirror_names_the_file(self, tmp_path, monkeypatch):
+        mnist_mirror(tmp_path, monkeypatch)
+        monkeypatch.setattr(data, "MNIST_MIRRORS",
+                            data.MNIST_MIRRORS[:1])
+        with pytest.raises(OSError, match="could not download"):
+            data.fetch_mnist(tmp_path / "root")
+
+    def test_cifar_unpacks_and_loads(self, tmp_path, monkeypatch):
+        staged = cifar_archive(tmp_path, monkeypatch)
+        data.fetch_cifar10(tmp_path / "root")
+        for split in ("train", "test"):
+            got = load_cifar10(tmp_path / "root", split)
+            want = load_cifar10(staged, split)
+            np.testing.assert_array_equal(got.images, want.images)
+            np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_cifar_md5_mismatch_rejected(self, tmp_path, monkeypatch):
+        cifar_archive(tmp_path, monkeypatch)
+        monkeypatch.setattr(data, "CIFAR_MD5", "0" * 32)
+        with pytest.raises(DatasetFormatError, match="md5"):
+            data.fetch_cifar10(tmp_path / "root")
+        assert not (tmp_path / "root" / "cifar-10-batches-bin").exists()
+
+    def test_cifar_member_outside_root_refused(self, tmp_path, monkeypatch):
+        cifar_archive(tmp_path, monkeypatch, extra=("../escape", b"x"))
+        with pytest.raises(tarfile.TarError):
+            data.fetch_cifar10(tmp_path / "root")
+        assert not (tmp_path / "escape").exists()
+
+    @pytest.mark.parametrize("name", ["mnist", "cifar10"])
+    def test_resolve_dataset_download(self, name, tmp_path, monkeypatch):
+        if name == "mnist":
+            staged, loader = mnist_mirror(tmp_path, monkeypatch), load_mnist
+        else:
+            staged = cifar_archive(tmp_path, monkeypatch)
+            loader = load_cifar10
+        ds = resolve_dataset(name, tmp_path / "root", "download", "test")
+        np.testing.assert_array_equal(ds.images,
+                                      loader(staged, "test").images)
 
 
 @pytest.mark.skipif(not REAL_MNIST, reason="set ORBITNET_MNIST_DIR to test "

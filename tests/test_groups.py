@@ -6,8 +6,9 @@ import pytest
 from orbitnet.gradcheck import check_gradients
 from orbitnet.groups import (GroupAction, apply_action, expand_orbit, invertibility_loss,
                              invertibility_residual, linear_map_to_matrix,
-                             order_defect, stack_map_to_matrix,
-                             svd_invertibility_loss, vec, vec_inv)
+                             min_singular_value, order_defect,
+                             stack_map_to_matrix, svd_invertibility_loss, vec,
+                             vec_inv)
 from orbitnet.svd import jacobi_svd
 from orbitnet.tensor import Tensor, parameter
 
@@ -383,6 +384,36 @@ class TestOrderDefect:
     def test_quarter_turn_has_order_four(self):
         g = action_from_matrix(quarter_turn_matrix(6), 4, 6, 6)
         assert order_defect(g) == pytest.approx(0.0, abs=1e-12)
+
+
+class TestStackedDiagnostics:
+    """A [K, d, d] stack gives the per-generator values, bit for bit."""
+
+    # the one-generator formulas, with np.linalg.norm of each matrix
+    REFERENCE = {
+        invertibility_residual: lambda a, at: np.linalg.norm(
+            a @ at - np.eye(36)),
+        order_defect: lambda a, at: np.linalg.norm(
+            a @ a @ a @ a - np.eye(36)),
+        min_singular_value: lambda a, at: jacobi_svd(a)[1][-1],
+    }
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("diagnostic", [
+        invertibility_residual, order_defect, min_singular_value])
+    def test_stack_equals_per_generator_calls(self, diagnostic, k, dtype,
+                                              rng):
+        a = (np.eye(36) + 0.3 * rng.standard_normal((k, 36, 36))).astype(dtype)
+        at = (np.eye(36) + 0.3 * rng.standard_normal((k, 36, 36))).astype(dtype)
+        values = diagnostic(GroupAction(Tensor(a), Tensor(at), 4, 6, 6))
+        assert values.dtype == np.float64 and values.shape == (k,)
+        singles = [diagnostic(GroupAction(Tensor(a[i]), Tensor(at[i]), 4, 6, 6))
+                   for i in range(k)]
+        assert all(isinstance(v, float) for v in singles)
+        assert singles == [float(self.REFERENCE[diagnostic](a[i], at[i]))
+                           for i in range(k)]
+        assert values.tolist() == singles
 
 
 class TestCounterExample:

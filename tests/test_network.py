@@ -242,10 +242,11 @@ class TestUnfoldedNetwork:
     def test_paper_channel_count(self, rng):
         # L=4 layers of K=5 groups with p=4 elements: every code has 20 channels
         net = UnfoldedNetwork("classification", 1, 4, 5, 4, 6, 0.01, rng)
-        codes = net.encode(Tensor(rng.random((1, 1, 28, 28))))
-        assert len(codes) == 4
-        for code in codes:
+        codes, banks = net.encode(Tensor(rng.random((1, 1, 28, 28))))
+        assert len(codes) == len(banks) == 4
+        for code, bank in zip(codes, banks):
             assert code.shape[1] == 20
+            assert bank.shape == (20, 1, 6, 6)
 
     def test_zero_input_gives_bias_logits(self, rng):
         net = tiny_network(rng=rng)
@@ -253,7 +254,7 @@ class TestUnfoldedNetwork:
             layer.lam.data[:] = 0.3
         net.head_bias.data = rng.standard_normal(10)
         out = net.forward(Tensor(np.zeros((3, 1, 8, 8))))
-        codes = net.encode(Tensor(np.zeros((3, 1, 8, 8))))
+        codes, _ = net.encode(Tensor(np.zeros((3, 1, 8, 8))))
         for code in codes:
             np.testing.assert_array_equal(code.data, 0.0)
         np.testing.assert_allclose(
@@ -263,9 +264,11 @@ class TestUnfoldedNetwork:
     def test_single_layer_equals_direct_call(self, rng):
         net = tiny_network(rng=rng, num_layers=1)
         x = Tensor(rng.random((2, 1, 8, 8)))
-        code = net.encode(x)[0]
+        codes, banks = net.encode(x)
         direct = net.layers[0].forward(x, None)
-        np.testing.assert_array_equal(code.data, direct.data)
+        np.testing.assert_array_equal(codes[0].data, direct.data)
+        np.testing.assert_array_equal(banks[0].data,
+                                      net.layers[0].weight_bank().data)
 
     def test_unknown_task_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -300,14 +303,17 @@ class TestUnfoldedNetwork:
 
     def test_paper_regularized_loss_decomposes(self, rng):
         from orbitnet.groups import invertibility_loss
-        net = tiny_network(rng=rng)
+        net = tiny_network(rng=rng, num_groups=3)
         x = Tensor(rng.random((4, 1, 8, 8)))
         labels = rng.integers(0, 10, 4)
         mu = 0.001
         total = training_loss(net, x, labels, mu=mu).item()
+        # one term per group, each from its own generator pair
         expected = task_loss(net, x, labels).item() + sum(
-            invertibility_loss(action, mu).item()
-            for _, _, action in net.group_actions())
+            invertibility_loss(GroupAction(Tensor(a), Tensor(at), 2, 3, 3),
+                               mu).item()
+            for layer in net.unique_layers()
+            for a, at in zip(layer.action.a.data, layer.action.a_tilde.data))
         assert total == pytest.approx(expected, rel=1e-12)
 
     def test_svd_variants_run(self, rng):
@@ -569,6 +575,44 @@ class TestStackedGenerators:
         training_loss(net, x, rng.integers(0, 10, 2), mu=0.01,
                       loss_variant=variant)
         assert calls == [(5, 9, 9)] * 4
+
+
+class TestOneBankPerStep:
+    """`encode` expands each unique layer's orbit once and returns the banks."""
+
+    @pytest.mark.parametrize("task, tied, expected", [
+        ("classification", False, 4), ("reconstruction", False, 4),
+        ("classification", True, 1), ("reconstruction", True, 1)])
+    def test_weight_bank_calls_per_step(self, task, tied, expected, rng,
+                                        monkeypatch):
+        calls = []
+        original = GroupConvLayer.weight_bank
+        monkeypatch.setattr(GroupConvLayer, "weight_bank",
+                            lambda layer: calls.append(layer) or
+                            original(layer))
+        net = tiny_network(task=task, rng=rng, num_layers=4, tied=tied)
+        x = Tensor(rng.random((2, 1, 8, 8)))
+        training_loss(net, x, rng.integers(0, 10, 2), mu=0.01).backward()
+        assert len(calls) == expected
+        assert calls == net.unique_layers()
+
+    def test_reconstruction_uses_layer_zero_bank(self, rng):
+        from orbitnet.conv import conv2d_adjoint
+        net = tiny_network(task="reconstruction", rng=rng, num_layers=3)
+        x = Tensor(rng.random((2, 1, 8, 8)))
+        out = net.forward(x)
+        codes, banks = net.encode(x)
+        assert len(banks) == 3
+        np.testing.assert_array_equal(
+            out.data, conv2d_adjoint(codes[-1], banks[0]).data)
+
+    def test_tied_network_returns_one_bank(self, rng):
+        net = tiny_network(rng=rng, num_layers=4, tied=True)
+        x = Tensor(rng.random((2, 1, 8, 8)))
+        codes, banks = net.encode(x)
+        assert len(codes) == 4 and len(banks) == 1
+        np.testing.assert_array_equal(banks[0].data,
+                                      net.layers[0].weight_bank().data)
 
 
 class TestTapeMemory:
