@@ -7,6 +7,9 @@ transform (circulant matrices diagonalize exactly; random matrices stay
 spread out). All scores are ratios of Frobenius norms, so they are
 invariant to positive rescaling of the matrix and equal 1 exactly on the
 reference structure.
+
+Like the diagnostics in `groups`, each score takes one matrix or a
+[..., d, d] stack and gives each matrix's own value bit for bit.
 """
 
 import json
@@ -15,7 +18,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .groups import (apply_action, invertibility_residual,
+from .groups import (_frobenius, apply_action, invertibility_residual,
                      min_singular_value, order_defect)
 
 
@@ -36,7 +39,7 @@ def dft_matrix(n):
 def dft_conjugate(a):
     """F A F^{-1} in complex arithmetic; diagonal iff A is circulant."""
     a = np.asarray(a)
-    f = dft_matrix(a.shape[0])
+    f = dft_matrix(a.shape[-1])
     return f @ a @ f.conj().T
 
 
@@ -54,54 +57,57 @@ def circulant_from_diagonal(d):
 def offdiag_energy(m):
     """Fraction of squared magnitude living off the diagonal, in [0, 1]."""
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    total = float(np.sum(np.abs(m) ** 2))
-    if total == 0.0:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected square matrices, got shape {m.shape}")
+    power = np.abs(m) ** 2
+    total = power.reshape(*m.shape[:-2], -1).sum(axis=-1)
+    diag = power.diagonal(0, -2, -1).sum(axis=-1)
+    zero = total == 0.0
+    if np.any(zero):
         warnings.warn("all-zero matrix; off-diagonal fraction defined as 0",
                       RuntimeWarning, stacklevel=2)
-        return 0.0
-    diag = float(np.sum(np.abs(np.diag(m)) ** 2))
-    return (total - diag) / total
+    return (total - diag) / np.where(zero, 1.0, total)
+
+
+def _norm_ratio(part, a):
+    """||part|| / ||A|| per matrix; a zero matrix A raises."""
+    norm = _frobenius(a)
+    if np.any(norm == 0.0):
+        raise ValueError("structure scores are undefined for the zero matrix")
+    return _frobenius(part) / norm
 
 
 def skew_score(a):
     """||skew part|| / ||A||: 1 iff A is exactly skew-symmetric."""
     a = np.asarray(a, dtype=np.float64)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        raise ValueError("structure scores are undefined for the zero matrix")
-    return float(np.linalg.norm((a - a.T) / 2.0) / norm)
+    return _norm_ratio((a - a.mT) / 2.0, a)
 
 
 def toeplitz_project(a):
     """Orthogonal projection onto Toeplitz matrices (average each diagonal)."""
     a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
+    n = a.shape[-1]
     out = np.empty_like(a)
     for offset in range(-n + 1, n):
         idx = np.arange(max(0, -offset), min(n, n - offset))
-        out[idx, idx + offset] = a.diagonal(offset).mean()
+        out[..., idx, idx + offset] = a.diagonal(offset, -2, -1).mean(
+            axis=-1, keepdims=True)
     return out
 
 
 def toeplitz_score(a):
     """||Toeplitz projection|| / ||A||: 1 iff A is exactly Toeplitz."""
-    a = np.asarray(a, dtype=np.float64)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        raise ValueError("structure scores are undefined for the zero matrix")
-    return float(np.linalg.norm(toeplitz_project(a)) / norm)
+    return _norm_ratio(toeplitz_project(a), np.asarray(a, dtype=np.float64))
 
 
 def quadrant_signs(a):
     """Mean sign of each quadrant: the coarse multi-scale signature."""
-    a = np.asarray(a)
-    h = a.shape[0] // 2
-    return np.array([
-        [np.sign(a[:h, :h]).mean(), np.sign(a[:h, h:]).mean()],
-        [np.sign(a[h:, :h]).mean(), np.sign(a[h:, h:]).mean()],
-    ])
+    signs = np.sign(np.asarray(a))
+    h = signs.shape[-1] // 2
+    halves = (slice(None, h), slice(h, None))
+    means = [[signs[..., rows, cols].mean(axis=(-2, -1)) for cols in halves]
+             for rows in halves]
+    return np.moveaxis(np.array(means), (0, 1), (-2, -1))
 
 
 @dataclass
@@ -122,21 +128,18 @@ class StructureReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def structure_report(action, layer=0, group=0):
-    """One generator's report; the residual is the one metrics.jsonl logs."""
+def structure_report(action, layer=0):
+    """The K reports of a layer's [K, d, d] generator stack, in group order."""
     a = action.a.data
-    return StructureReport(
-        layer=layer,
-        group=group,
-        skew=skew_score(a),
-        toeplitz=toeplitz_score(a),
-        dft_offdiag=offdiag_energy(dft_conjugate(a)),
-        order_defect=order_defect(action),
-        min_singular_value=min_singular_value(action),
-        invertibility_residual=invertibility_residual(action),
-        quadrant_signs=quadrant_signs(a).tolist(),
-        identity_probe=identity_probe(action).tolist(),
-    )
+    if a.ndim != 3:
+        raise ValueError(f"expected a [K, d, d] stack, got shape {a.shape}")
+    rows = zip(skew_score(a), toeplitz_score(a),
+               offdiag_energy(dft_conjugate(a)), order_defect(action),
+               min_singular_value(action), invertibility_residual(action),
+               quadrant_signs(a).tolist(), identity_probe(action).tolist())
+    # positional in field order: the six scores, then the two lists
+    return [StructureReport(layer, k, *map(float, row[:6]), *row[6:])
+            for k, row in enumerate(rows)]
 
 
 # -- exports ---------------------------------------------------------------------

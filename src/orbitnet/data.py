@@ -30,8 +30,6 @@ class DatasetFormatError(ValueError):
 class ImageDataset:
     images: np.ndarray       # [N, C, H, W] float64 in [0, 1]
     labels: np.ndarray       # [N] int64 class indices
-    split: str
-    name: str
 
     def __len__(self):
         return self.images.shape[0]
@@ -140,7 +138,7 @@ def load_mnist(root, split="train"):
             f"{label_path}: {labels.shape[0]} labels for "
             f"{images.shape[0]} images")
     floats = images.astype(np.float64)[:, None, :, :] / 255.0
-    return ImageDataset(floats, labels.astype(np.int64), split, "mnist")
+    return ImageDataset(floats, labels.astype(np.int64))
 
 
 def load_cifar10(root, split="train"):
@@ -162,7 +160,7 @@ def load_cifar10(root, split="train"):
         images.append(records[:, 1:].reshape(-1, 3, 32, 32))
     images = np.concatenate(images).astype(np.float64) / 255.0
     labels = np.concatenate(labels).astype(np.int64)
-    return ImageDataset(images, labels, split, "cifar10")
+    return ImageDataset(images, labels)
 
 
 def write_cifar_batch(path, images, labels):
@@ -312,14 +310,14 @@ def synthesize_cifar10_like(root, n_train=6000, n_test=1000, seed=0):
 
 # -- patches and transforms -----------------------------------------------------
 
-def extract_patch(image, rng, size=PATCH):
-    """Random square patch; top-left corner uniform over valid positions."""
+def extract_patch(image, rng):
+    """Random PATCH x PATCH patch, top-left corner uniform over positions."""
     h, w = image.shape[-2:]
-    if h < size or w < size:
-        raise ValueError(f"image {h}x{w} smaller than {size}x{size} patch")
-    top = int(rng.integers(0, h - size + 1))
-    left = int(rng.integers(0, w - size + 1))
-    return image[..., top:top + size, left:left + size]
+    if h < PATCH or w < PATCH:
+        raise ValueError(f"image {h}x{w} smaller than {PATCH}x{PATCH} patch")
+    top = int(rng.integers(0, h - PATCH + 1))
+    left = int(rng.integers(0, w - PATCH + 1))
+    return image[..., top:top + PATCH, left:left + PATCH]
 
 
 def rotate_patch(patch, theta_deg):
@@ -392,7 +390,6 @@ class PatchTransform:
     kind: str
     theta: float = 0.0
     radius: int = 1
-    size: int = PATCH
     _operator: np.ndarray = field(default=None, repr=False, compare=False)
 
     @classmethod
@@ -426,8 +423,7 @@ class PatchTransform:
     def operator(self):
         """36x36 matrix in the vec basis (cached), from one stacked `apply`."""
         if self._operator is None:
-            self._operator = stack_map_to_matrix(
-                self.apply, self.size, self.size)
+            self._operator = stack_map_to_matrix(self.apply, PATCH, PATCH)
         return self._operator
 
 

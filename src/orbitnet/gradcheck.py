@@ -5,12 +5,13 @@ import numpy as np
 from .tensor import gradient_of
 
 
-def numerical_gradient(loss_fn, param, h=1e-5):
+def numerical_gradient(loss_fn, param):
     """Central-difference gradient of a scalar-valued loss w.r.t. one tensor.
 
     `loss_fn` takes no arguments and must re-read `param.data` on every
-    call; entries of the parameter are perturbed in place.
+    call; entries of the parameter are perturbed in place, by h = 1e-5.
     """
+    h = 1e-5
     base = param.data
     grad = np.zeros_like(base)
     flat = base.reshape(-1)
@@ -32,19 +33,17 @@ def relative_error(a, b):
     return float(np.linalg.norm(a - b)) / denom
 
 
-def check_gradients(loss_fn, params, h=1e-5, rtol=1e-4):
+def check_gradients(loss_fn, params, rtol=1e-4):
     """Compare tape gradients against central differences for each param.
 
-    Returns {name: relative_error}; raises AssertionError on the first
-    parameter exceeding `rtol`.
+    `params` is a dict of name -> Tensor. Returns {name: relative_error};
+    raises AssertionError on the first parameter exceeding `rtol`.
     """
-    if isinstance(params, (list, tuple)):
-        params = {f"param{i}": p for i, p in enumerate(params)}
     analytic = dict(zip(params.keys(),
                         gradient_of(loss_fn(), list(params.values()))))
     errors = {}
     for name, p in params.items():
-        numeric = numerical_gradient(loss_fn, p, h=h)
+        numeric = numerical_gradient(loss_fn, p)
         err = relative_error(analytic[name], numeric)
         errors[name] = err
         assert err < rtol, (

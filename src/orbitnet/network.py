@@ -32,10 +32,11 @@ class BatchNorm2d:
     d_x = gamma * rs / m * (m * g - sum(g) - x_hat * sum(g * x_hat)).
     """
 
-    def __init__(self, channels, momentum=0.1, eps=1e-5, dtype=np.float64):
+    momentum = 0.1
+    eps = 1e-5
+
+    def __init__(self, channels, dtype=np.float64):
         self.channels = channels
-        self.momentum = momentum
-        self.eps = eps
         self.gamma = parameter(np.ones(channels), dtype=dtype)
         self.beta = parameter(np.zeros(channels), dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
@@ -174,10 +175,11 @@ class UnfoldedNetwork:
     """
 
     POOLED = 4
+    NUM_CLASSES = 10
 
     def __init__(self, task, in_channels, num_layers, num_groups, group_order,
-                 filter_size, alpha, rng, num_classes=10, tied=False,
-                 one_sided=True, init_eps=0.01, dtype=np.float64):
+                 filter_size, alpha, rng, tied=False, one_sided=True,
+                 init_eps=0.01, dtype=np.float64):
         if task not in TASKS:
             raise ValueError(f"unknown task: {task!r}")
         self.task = task
@@ -194,9 +196,9 @@ class UnfoldedNetwork:
         if task == "classification":
             fan_in = channels * self.POOLED * self.POOLED
             self.head_weight = parameter(
-                rng.standard_normal((num_classes, fan_in)) / np.sqrt(fan_in),
-                dtype=dtype)
-            self.head_bias = parameter(np.zeros(num_classes), dtype=dtype)
+                rng.standard_normal((self.NUM_CLASSES, fan_in))
+                / np.sqrt(fan_in), dtype=dtype)
+            self.head_bias = parameter(np.zeros(self.NUM_CLASSES), dtype=dtype)
 
     def train(self):
         self.training = True

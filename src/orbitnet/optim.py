@@ -12,14 +12,13 @@ class Adam:
     advances once per call either way.
     """
 
-    def __init__(self, params, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
-        if isinstance(params, (list, tuple)):
-            params = {f"param{i}": p for i, p in enumerate(params)}
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr=0.01):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import data as datamod
-from .analysis import (dft_conjugate, identity_probe, save_csv,
-                       save_heatmap_pgm, structure_report)
+from .analysis import (dft_conjugate, save_csv, save_heatmap_pgm,
+                       structure_report)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import DATA_SOURCES, DATASETS, RunConfig, load_config
 from .groups import invertibility_residual, order_defect
@@ -229,7 +229,8 @@ def run_analysis(checkpoint_path, out_dir, config_path=None):
     """Structure reports and heatmaps for every group action in a checkpoint.
 
     The checkpoint is loaded, in float64, into the network that the config
-    describes; any mismatch fails before a report is written.
+    describes; any mismatch fails before a report is written. Each unique
+    layer's generator stack is analysed in one `structure_report` call.
     """
     checkpoint_path = Path(checkpoint_path)
     if config_path is None:
@@ -243,18 +244,17 @@ def run_analysis(checkpoint_path, out_dir, config_path=None):
     out.mkdir(parents=True, exist_ok=True)
     reports = []
     for li, layer in enumerate(net.unique_layers()):
-        for ki, (a, at) in enumerate(zip(layer.action.a.data,
-                                         layer.action.a_tilde.data)):
-            action = replace(layer.action, a=Tensor(a), a_tilde=Tensor(at))
-            report = structure_report(action, layer=li, group=ki)
-            reports.append(report)
-            stem = f"layer{li}_group{ki}"
+        stack = layer.action.a.data
+        layer_reports = structure_report(layer.action, layer=li)
+        for report, a, dft in zip(layer_reports, stack,
+                                  np.abs(dft_conjugate(stack))):
+            stem = f"layer{li}_group{report.group}"
             (out / f"{stem}_report.json").write_text(report.to_json())
             save_csv(out / f"{stem}_A.csv", a)
             save_heatmap_pgm(out / f"{stem}_A.pgm", a)
-            save_heatmap_pgm(out / f"{stem}_probe.pgm", identity_probe(action))
-            save_heatmap_pgm(out / f"{stem}_dft.pgm",
-                             np.abs(dft_conjugate(a)))
+            save_heatmap_pgm(out / f"{stem}_probe.pgm", report.identity_probe)
+            save_heatmap_pgm(out / f"{stem}_dft.pgm", dft)
+        reports += layer_reports
     index = [{k: v for k, v in asdict(r).items() if not isinstance(v, list)}
              for r in reports]
     (out / "index.json").write_text(json.dumps(index, indent=2,

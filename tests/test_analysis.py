@@ -189,11 +189,52 @@ class TestStructureScores:
                                       [[1.0, -1.0], [1.0, 1.0]])
 
 
+class TestStackedScores:
+    """A [K, d, d] stack gives each matrix's own score, bit for bit."""
+
+    SCORES = [skew_score, toeplitz_score, toeplitz_project, quadrant_signs,
+              dft_conjugate,
+              lambda a: offdiag_energy(dft_conjugate(a))]
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("score", SCORES)
+    def test_stack_equals_per_matrix_calls(self, score, k, rng):
+        a = np.eye(36) + 0.3 * rng.standard_normal((k, 36, 36))
+        values = score(a)
+        assert values.shape[0] == k
+        for i in range(k):
+            single = score(a[i])
+            assert np.shape(single) == values.shape[1:]
+            np.testing.assert_array_equal(values[i], single, strict=True)
+
+    def test_zero_matrix_in_stack_rejected(self, rng):
+        a = rng.standard_normal((3, 4, 4))
+        a[1] = 0.0
+        with pytest.raises(ValueError, match="zero matrix"):
+            skew_score(a)
+        with pytest.raises(ValueError, match="zero matrix"):
+            toeplitz_score(a)
+
+    def test_zero_matrix_in_stack_warns_and_gives_zero(self, rng):
+        m = rng.standard_normal((3, 4, 4))
+        m[1] = 0.0
+        with pytest.warns(RuntimeWarning, match="all-zero"):
+            values = offdiag_energy(m)
+        assert values[1] == 0.0
+        assert values[0] == offdiag_energy(m[0])
+        assert values[2] == offdiag_energy(m[2])
+
+
+def stack_action(a, at, order=4, n=6):
+    return GroupAction(Tensor(np.asarray(a)), Tensor(np.asarray(at)),
+                       order, n, n)
+
+
 class TestReportAndExports:
     def test_structure_report_fields(self, rng):
-        g = GroupAction(Tensor(np.eye(36)), Tensor(np.eye(36)), 4, 6, 6)
-        report = structure_report(g, layer=1, group=2)
-        assert report.layer == 1 and report.group == 2
+        g = stack_action(np.eye(36)[None], np.eye(36)[None])
+        [report] = structure_report(g, layer=1)
+        assert report.layer == 1 and report.group == 0
         assert report.skew == 0.0
         assert report.order_defect == 0.0
         assert report.invertibility_residual == 0.0
@@ -204,14 +245,30 @@ class TestReportAndExports:
     def test_report_residual_is_the_logged_raw_residual(self, rng):
         # one definition: the raw ||A A~ - I||_F that metrics.jsonl logs
         from orbitnet.groups import invertibility_residual
-        a = rng.standard_normal((36, 36))
-        at = rng.standard_normal((36, 36))
-        report = structure_report(GroupAction(Tensor(a), Tensor(at), 4, 6, 6))
-        assert report.invertibility_residual == float(
-            np.linalg.norm(a @ at - np.eye(36)))
-        stack = GroupAction(Tensor(a[None]), Tensor(at[None]), 4, 6, 6)
-        assert [report.invertibility_residual] == \
+        a = rng.standard_normal((3, 36, 36))
+        at = rng.standard_normal((3, 36, 36))
+        stack = stack_action(a, at)
+        reports = structure_report(stack)
+        assert [r.invertibility_residual for r in reports] == [
+            float(np.linalg.norm(a[i] @ at[i] - np.eye(36))) for i in range(3)]
+        assert [r.invertibility_residual for r in reports] == \
             invertibility_residual(stack).tolist()
+
+    def test_stack_reports_equal_one_generator_reports(self, rng):
+        a = np.eye(16) + 0.3 * rng.standard_normal((5, 16, 16))
+        at = np.eye(16) + 0.3 * rng.standard_normal((5, 16, 16))
+        reports = structure_report(stack_action(a, at, 3, 4), layer=2)
+        assert [(r.layer, r.group) for r in reports] == [(2, k)
+                                                         for k in range(5)]
+        for k, r in enumerate(reports):
+            [single] = structure_report(
+                stack_action(a[k:k + 1], at[k:k + 1], 3, 4), layer=2)
+            single.group = k
+            assert r.to_json() == single.to_json()
+
+    def test_single_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"\[K, d, d\] stack"):
+            structure_report(stack_action(np.eye(36), np.eye(36)))
 
     def test_csv_roundtrip(self, tmp_path, rng):
         m = rng.standard_normal((6, 6))

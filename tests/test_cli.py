@@ -388,12 +388,45 @@ class TestAnalyzeCommand:
             assert (tmp_path / "an" / name).read_bytes() == \
                 (tmp_path / "an32" / name).read_bytes(), name
         arrays = load_checkpoint(out / "final.ckpt")
-        for r in reports:
-            stem = f"layers.{r.layer}.groups.{r.group}"
-            action = GroupAction(Tensor(arrays[f"{stem}.A"]),
-                                 Tensor(arrays[f"{stem}.A_tilde"]), 2, 3, 3)
-            assert r.to_json() == \
-                structure_report(action, r.layer, r.group).to_json()
+        expected = []
+        for li in range(2):
+            stacks = [np.stack([arrays[f"layers.{li}.groups.{k}.{name}"]
+                                for k in range(2)])
+                      for name in ("A", "A_tilde")]
+            action = GroupAction(Tensor(stacks[0]), Tensor(stacks[1]), 2, 3, 3)
+            expected += structure_report(action, li)
+        assert [r.to_json() for r in reports] == \
+            [r.to_json() for r in expected]
+
+    def test_float32_run_logs_the_analysed_diagnostics(self, tmp_path):
+        out, _ = self.trained_run(tmp_path, precision="float32",
+                                  dataset="cifar10")
+        reports = run_analysis(out / "final.ckpt", tmp_path / "an")
+        last = json.loads((out / "metrics.jsonl").read_text().splitlines()[-1])
+        assert last["invertibility_residual_per_group"] == \
+            [r.invertibility_residual for r in reports]
+        assert last["order_defect_per_group"] == \
+            [r.order_defect for r in reports]
+
+    def test_one_report_and_one_svd_per_unique_layer(self, tmp_path,
+                                                     monkeypatch):
+        from orbitnet import groups, train
+        out, _ = self.trained_run(tmp_path, num_layers=3)
+        calls = {"report": [], "svd": []}
+
+        def spy(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name].append(args)
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(train, "structure_report",
+                            spy("report", train.structure_report))
+        monkeypatch.setattr(groups, "jacobi_svd",
+                            spy("svd", groups.jacobi_svd))
+        reports = run_analysis(out / "final.ckpt", tmp_path / "an")
+        assert len(reports) == 6
+        assert [args[0].a.shape for args in calls["report"]] == [(2, 9, 9)] * 3
+        assert [args[0].shape for args in calls["svd"]] == [(2, 9, 9)] * 3
 
     def test_checkpoint_version_guard(self, tmp_path):
         cfg = tiny_config(tmp_path, epochs=0)

@@ -320,11 +320,12 @@ class TestInvertibilityResidual:
         assert invertibility_residual(exact) < 1e-12
 
     def test_float32_pair_measured_against_float64_identity(self, rng):
+        # a float32 pair is measured in float64, as the analysis measures
+        # the same values loaded from a checkpoint
         a = rng.standard_normal((4, 4)).astype(np.float32)
         at = rng.standard_normal((4, 4)).astype(np.float32)
         g = GroupAction(Tensor(a), Tensor(at), 2, 2, 2)
-        product = a @ at
-        assert product.dtype == np.float32
+        product = a.astype(np.float64) @ at.astype(np.float64)
         assert invertibility_residual(g) == float(
             np.linalg.norm(product - np.eye(4)))
 
@@ -389,7 +390,8 @@ class TestOrderDefect:
 class TestStackedDiagnostics:
     """A [K, d, d] stack gives the per-generator values, bit for bit."""
 
-    # the one-generator formulas, with np.linalg.norm of each matrix
+    # the one-generator formulas in float64, with np.linalg.norm of each
+    # matrix; a float32 stack is cast to float64 before the products
     REFERENCE = {
         invertibility_residual: lambda a, at: np.linalg.norm(
             a @ at - np.eye(36)),
@@ -411,8 +413,9 @@ class TestStackedDiagnostics:
         singles = [diagnostic(GroupAction(Tensor(a[i]), Tensor(at[i]), 4, 6, 6))
                    for i in range(k)]
         assert all(isinstance(v, float) for v in singles)
-        assert singles == [float(self.REFERENCE[diagnostic](a[i], at[i]))
-                           for i in range(k)]
+        assert singles == [float(self.REFERENCE[diagnostic](
+            a[i].astype(np.float64), at[i].astype(np.float64)))
+            for i in range(k)]
         assert values.tolist() == singles
 
 
