@@ -3,7 +3,9 @@
 The forward map is correlation at stride 1; padding is chosen so output
 spatial size equals input size ((k-1)//2 before, k//2 after). The adjoint
 is the exact transpose of the forward map, verified by the inner-product
-identity <corr(x, w), y> == <x, adjoint(y, w)>.
+identity <corr(x, w), y> == <x, adjoint(y, w)>. Both are one tape node:
+the adjoint correlates with the bank swapped and flipped at the mirrored
+padding, so each op's input gradient is the other op's forward.
 
 Every kernel works in the tape's own [N, C, H, W] layout. Only the operand
 with fewer channels is zero-padded and windowed; the wide one (the code
@@ -98,18 +100,15 @@ def _swap_flip(w):
     return np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
 
 
-def conv2d_same(x, w, z=None):
-    """Correlate x [N,C,H,W] with bank w [O,C,k,k] at stride 1, same size.
-
-    Given z [N,O,H,W], returns z + that correlation as one tape node: z is
-    added in place into the correlation's own output buffer.
-    """
+def _correlation(x, w, z, adjoint):
+    """z + x correlated with w, or with _swap_flip(w) for the adjoint."""
     x = Tensor._lift(x)
     w = Tensor._lift(w)
     kh, kw = w.shape[2:]
-    _check_shapes(x, w.shape[1], kh, kw)
-    pt, pl = (kh - 1) // 2, (kw - 1) // 2
-    y = _corr(x.data, w.data, pt, pl)
+    kernel = _swap_flip(w.data) if adjoint else w.data
+    pt, pl = (kh // 2, kw // 2) if adjoint else ((kh - 1) // 2, (kw - 1) // 2)
+    _check_shapes(x, kernel.shape[1], kh, kw)
+    y = _corr(x.data, kernel, pt, pl)
     parents = (x, w)
     if z is not None:
         z = Tensor._lift(z)
@@ -124,31 +123,28 @@ def conv2d_same(x, w, z=None):
 
     def backward(g):
         if x.requires_grad:
-            x._accumulate(_corr(g, _swap_flip(w.data),
+            x._accumulate(_corr(g, _swap_flip(kernel),
                                 kh - 1 - pt, kw - 1 - pl))
         if w.requires_grad:
-            w._accumulate(_corr_grad_w(x.data, g, pt, pl, kh, kw))
+            gw = _corr_grad_w(x.data, g, pt, pl, kh, kw)
+            w._accumulate(_swap_flip(gw) if adjoint else gw)
         if z is not None and z.requires_grad:
             z._accumulate(g)
     return Tensor._result(y, parents, backward)
 
 
+def conv2d_same(x, w, z=None):
+    """Correlate x [N,C,H,W] with bank w [O,C,k,k] at stride 1, same size.
+
+    Given z [N,O,H,W], returns z + that correlation as one tape node: z is
+    added in place into the correlation's own output buffer.
+    """
+    return _correlation(x, w, z, adjoint=False)
+
+
 def conv2d_adjoint(y, w):
     """Transpose of conv2d_same with the same bank: maps [N,O,H,W] -> [N,C,H,W]."""
-    y = Tensor._lift(y)
-    w = Tensor._lift(w)
-    o, c, kh, kw = w.shape
-    _check_shapes(y, o, kh, kw)
-    pt, pl = kh // 2, kw // 2
-    x = _corr(y.data, _swap_flip(w.data), pt, pl)
-
-    def backward(g):
-        if y.requires_grad:
-            y._accumulate(_corr(g, w.data, kh - 1 - pt, kw - 1 - pl))
-        if w.requires_grad:
-            w._accumulate(_swap_flip(
-                _corr_grad_w(y.data, g, pt, pl, kh, kw)))
-    return Tensor._result(x, (y, w), backward)
+    return _correlation(y, w, None, adjoint=True)
 
 
 def avg_pool_to(x, out_h, out_w):

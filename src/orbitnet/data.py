@@ -12,7 +12,7 @@ import gzip
 import hashlib
 import tarfile
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -381,7 +381,7 @@ def avgpool_patch(patch, radius):
 
 @dataclass
 class PatchTransform:
-    """A linear transform on square patches with a cached operator matrix.
+    """A linear transform on square patches.
 
     kind is one of "rotate", "avgpool", "compose"; composition applies
     pooling first, then rotation.
@@ -390,7 +390,6 @@ class PatchTransform:
     kind: str
     theta: float = 0.0
     radius: int = 1
-    _operator: np.ndarray = field(default=None, repr=False, compare=False)
 
     @classmethod
     def rotation(cls, theta):
@@ -421,10 +420,8 @@ class PatchTransform:
         raise ValueError(f"unknown transform kind: {self.kind!r}")
 
     def operator(self):
-        """36x36 matrix in the vec basis (cached), from one stacked `apply`."""
-        if self._operator is None:
-            self._operator = stack_map_to_matrix(self.apply, PATCH, PATCH)
-        return self._operator
+        """36x36 matrix in the vec basis, from one stacked `apply`."""
+        return stack_map_to_matrix(self.apply, PATCH, PATCH)
 
 
 def save_pairs_csv(path, xs, ys):

@@ -46,7 +46,7 @@ def check_gradients(loss_fn, params, rtol=1e-4):
         numeric = numerical_gradient(loss_fn, p)
         err = relative_error(analytic[name], numeric)
         errors[name] = err
-        assert err < rtol, (
-            f"gradient mismatch for '{name}': relative error {err:.3e} "
-            f">= {rtol:.1e}")
+        if not err < rtol:
+            raise AssertionError(f"gradient mismatch for '{name}': relative "
+                                 f"error {err:.3e} >= {rtol:.1e}")
     return errors

@@ -61,6 +61,7 @@ class GroupAction:
     order: int
     filter_rows: int
     filter_cols: int
+    init_eps = 0.01
 
     def __post_init__(self):
         d = self.filter_rows * self.filter_cols
@@ -73,16 +74,15 @@ class GroupAction:
             raise ValueError("group order must be >= 1")
 
     @classmethod
-    def initialize(cls, n, m, order, rng, eps=0.01, dtype=np.float64,
-                   stack=()):
-        """Near-identity start: A = I + eps*G with G standard Gaussian.
+    def initialize(cls, n, m, order, rng, dtype=np.float64, stack=()):
+        """Near-identity start: A = I + init_eps*G with G standard Gaussian.
 
         `stack=(K,)` draws K pairs in the order of K separate calls.
         """
         d = n * m
-        g = rng.standard_normal((*stack, 2, d, d))
-        a = np.eye(d) + eps * g[..., 0, :, :]
-        a_tilde = np.eye(d) + eps * g[..., 1, :, :]
+        g = cls.init_eps * rng.standard_normal((*stack, 2, d, d))
+        a = np.eye(d) + g[..., 0, :, :]
+        a_tilde = np.eye(d) + g[..., 1, :, :]
         return cls(parameter(a, dtype=dtype), parameter(a_tilde, dtype=dtype),
                    order, n, m)
 
@@ -160,10 +160,8 @@ def svd_invertibility_loss(action, mu, variant="sum"):
             warnings.warn(
                 "singular value at machine epsilon; log-product penalty "
                 "clamped to a finite value", RuntimeWarning, stacklevel=2)
-            # clamped entries become constants, the rest keep their gradient
-            safe = sigma * mask + _SIGMA_FLOOR * (1.0 - mask)
-            return -mu * log(safe).sum()
-        return -mu * log(sigma).sum()
+        # clamped entries become constants, the rest keep their gradient
+        return -mu * log(sigma * mask + _SIGMA_FLOOR * (1.0 - mask)).sum()
     raise ValueError(f"unknown svd loss variant: {variant!r}")
 
 

@@ -23,13 +23,13 @@ from .tensor import Tensor, cross_entropy, parameter, soft_threshold, stack
 
 
 class BatchNorm2d:
-    """Per-channel batch normalization over [N, C, H, W].
+    """Per-channel batch normalization over [N, C, H, W], one tape node.
 
-    In training mode, gamma * x_hat + beta with x_hat = (x - mean) * rs and
-    rs = (var + eps)^-1/2 over the m = N*H*W values of a channel is one
-    tape node, whose backward is the closed form over per-channel sums:
-    d_beta = sum(g), d_gamma = sum(g * x_hat) and
-    d_x = gamma * rs / m * (m * g - sum(g) - x_hat * sum(g * x_hat)).
+    gamma * x_hat + beta with x_hat = (x - mean) * rs, rs = (var + eps)^-1/2,
+    over the m = N*H*W values of a channel in training (which updates the
+    running statistics) or from the running statistics in eval. Backward:
+    d_beta = sum(g), d_gamma = sum(g * x_hat); d_x = g * gamma * rs in eval,
+    gamma * rs / m * (m * g - sum(g) - x_hat * sum(g * x_hat)) in training.
     """
 
     momentum = 0.1
@@ -44,27 +44,26 @@ class BatchNorm2d:
         self.initialized = False
 
     def forward(self, x, training):
-        shape = (1, self.channels, 1, 1)
-        if not training:
-            if not self.initialized:
-                raise RuntimeError(
-                    "batch norm has no running statistics; run at least one "
-                    "training-mode forward pass or load a checkpoint")
-            mu = self.running_mean.reshape(shape)
-            std = np.sqrt(self.running_var + self.eps).reshape(shape)
-            xn = (x - mu) * (1.0 / std)
-            return xn * self.gamma.reshape(shape) + self.beta.reshape(shape)
         gamma, beta, axes = self.gamma, self.beta, (0, 2, 3)
-        mu = x.data.mean(axis=axes, keepdims=True)
-        centered = x.data - mu
-        var = (centered * centered).mean(axis=axes, keepdims=True)
+        shape = (1, self.channels, 1, 1)
         count = x.size // x.shape[1]
-        unbiased = var.reshape(-1) * count / max(count - 1, 1)
-        self.running_mean = ((1 - self.momentum) * self.running_mean
-                             + self.momentum * mu.reshape(-1))
-        self.running_var = ((1 - self.momentum) * self.running_var
-                            + self.momentum * unbiased)
-        self.initialized = True
+        if not (training or self.initialized):
+            raise RuntimeError(
+                "batch norm has no running statistics; run at least one "
+                "training-mode forward pass or load a checkpoint")
+        if training:
+            mu = x.data.mean(axis=axes, keepdims=True)
+            centered = x.data - mu
+            var = (centered * centered).mean(axis=axes, keepdims=True)
+            unbiased = var.reshape(-1) * count / max(count - 1, 1)
+            self.running_mean = ((1 - self.momentum) * self.running_mean
+                                 + self.momentum * mu.reshape(-1))
+            self.running_var = ((1 - self.momentum) * self.running_var
+                                + self.momentum * unbiased)
+            self.initialized = True
+        else:
+            centered = x.data - self.running_mean.reshape(shape)
+            var = self.running_var.reshape(shape)
         rs = (var + self.eps) ** -0.5
         xhat = centered * rs
         out = xhat * gamma.data.reshape(shape) + beta.data.reshape(shape)
@@ -77,7 +76,9 @@ class BatchNorm2d:
                 gamma._accumulate(sum_gx)
             if beta.requires_grad:
                 beta._accumulate(sum_g)
-            if x.requires_grad:
+            if x.requires_grad and not training:
+                x._accumulate(g * (gamma.data.reshape(shape) * rs))
+            elif x.requires_grad:
                 dx = g * count
                 dx -= sum_g.reshape(shape)
                 dx -= np.multiply(xhat, sum_gx.reshape(shape), out=gx)
@@ -96,7 +97,7 @@ class GroupConvLayer:
     """
 
     def __init__(self, in_channels, num_groups, group_order, filter_size,
-                 alpha, rng, one_sided=True, init_eps=0.01, dtype=np.float64):
+                 alpha, rng, one_sided=True, dtype=np.float64):
         if alpha <= 0:
             raise ValueError("step size alpha must be positive")
         self.in_channels = in_channels
@@ -108,8 +109,7 @@ class GroupConvLayer:
         n = m = filter_size
         scale = 0.1 / np.sqrt(in_channels * n * m)
         self.action = GroupAction.initialize(
-            n, m, group_order, rng, eps=init_eps, dtype=dtype,
-            stack=(num_groups,))
+            n, m, group_order, rng, dtype=dtype, stack=(num_groups,))
         self.bases = [
             parameter(scale * rng.standard_normal((in_channels, n, m)),
                       dtype=dtype)
@@ -179,7 +179,7 @@ class UnfoldedNetwork:
 
     def __init__(self, task, in_channels, num_layers, num_groups, group_order,
                  filter_size, alpha, rng, tied=False, one_sided=True,
-                 init_eps=0.01, dtype=np.float64):
+                 dtype=np.float64):
         if task not in TASKS:
             raise ValueError(f"unknown task: {task!r}")
         self.task = task
@@ -187,7 +187,7 @@ class UnfoldedNetwork:
         self.training = True
         layers = [GroupConvLayer(in_channels, num_groups, group_order,
                                  filter_size, alpha, rng, one_sided=one_sided,
-                                 init_eps=init_eps, dtype=dtype)
+                                 dtype=dtype)
                   for _ in range(1 if tied else num_layers)]
         self.layers = layers * num_layers if tied else layers
         channels = num_groups * group_order

@@ -94,9 +94,16 @@ def _epoch_record(net, cfg, epoch, mean_task_loss):
 
 
 def _peak_rss_mb():
-    """This process's peak resident memory so far, in MiB."""
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
+    """This process's peak resident memory so far (VmHWM), in MiB.
+
+    ru_maxrss is only the fallback: Linux carries it over across exec.
+    """
+    try:
+        status = Path("/proc/self/status").read_text()
+        return int(status.split("VmHWM:")[1].split()[0]) / 1024.0
+    except (OSError, IndexError):
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)
 
 
 def run_training(cfg: RunConfig, out_dir=None):

@@ -102,6 +102,21 @@ class TestTraining:
         assert all(t["peak_rss_mb"] > 0 for t in timing)
         assert "peak_rss_mb" not in (out / "metrics.jsonl").read_text()
 
+    def test_peak_memory_excludes_the_parent_process(self, tmp_path):
+        # Linux carries ru_maxrss over from the parent across exec
+        ballast = np.ones(320 * 2 ** 20 // 8)
+        subprocess.run(
+            [sys.executable, "-m", "orbitnet.cli", "train", "--epochs", "2",
+             "--subset", "32", "--data-root", str(tmp_path / "d"),
+             "--data-source", "synthetic", "--out", str(tmp_path / "run"),
+             "--config", str(self_config(tmp_path))],
+            capture_output=True, check=True)
+        del ballast
+        timing = [json.loads(line) for line in
+                  (tmp_path / "run" / "timing.jsonl").read_text().splitlines()]
+        assert len(timing) == 2
+        assert all(t["peak_rss_mb"] < 300 for t in timing)
+
     def test_non_finite_step_names_epoch_batch_and_parameter(
             self, tmp_path, monkeypatch):
         import orbitnet.train as train

@@ -375,6 +375,12 @@ class TestPatchTransform:
         np.testing.assert_array_equal(t.apply(patch), patch)
         np.testing.assert_allclose(t.operator(), np.eye(36), atol=1e-15)
 
+    def test_operator_is_a_fresh_array_each_call(self):
+        t = PatchTransform.rotation(30.0)
+        t.operator()[:] = 0.0
+        assert np.array_equal(t.operator(),
+                              PatchTransform.rotation(30.0).operator())
+
     def test_pooling_applies_before_rotation(self, rng):
         t = PatchTransform.composition(radius=3, theta=90.0)
         patch = rng.random((6, 6))

@@ -1,5 +1,7 @@
 """Vectorization, group actions, orbits, invertibility losses."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from orbitnet.groups import (GroupAction, apply_action, expand_orbit, invertibil
                              min_singular_value, order_defect,
                              stack_map_to_matrix, svd_invertibility_loss, vec,
                              vec_inv)
-from orbitnet.svd import jacobi_svd
-from orbitnet.tensor import Tensor, parameter
+from orbitnet.svd import jacobi_svd, singular_values
+from orbitnet.tensor import Tensor, log, parameter
 
 
 def action_from_matrix(a, order, n, m):
@@ -357,6 +359,21 @@ class TestSvdInvertibilityLoss:
         expected = -np.sum(np.log(sigma))
         assert svd_invertibility_loss(g, mu=1.0, variant="logdet").item() == \
             pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_logdet_is_plain_log_when_nothing_clamps(self, dtype, rng):
+        a = parameter(np.eye(4) + 0.1 * rng.standard_normal((3, 4, 4)),
+                      dtype=dtype)
+        g = GroupAction(a, Tensor(np.ones_like(a.data)), 2, 2, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = svd_invertibility_loss(g, mu=0.3, variant="logdet")
+        loss.backward()
+        grad, a.grad = a.grad, None
+        ref = -0.3 * log(singular_values(a)).sum()
+        ref.backward()
+        assert loss.data.tobytes() == ref.data.tobytes()
+        assert grad.tobytes() == a.grad.tobytes()
 
     def test_logdet_singular_clamps_with_warning(self):
         a = np.diag([1.0, 0.0, 2.0])

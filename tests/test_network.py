@@ -191,6 +191,15 @@ def nine_node_batch_norm(bn, x):
     return xn * bn.gamma.reshape(shape) + bn.beta.reshape(shape)
 
 
+def composed_eval_batch_norm(bn, x):
+    """Eval-mode batch norm built from four tape ops, as a reference."""
+    shape = (1, bn.channels, 1, 1)
+    mu = bn.running_mean.reshape(shape)
+    std = np.sqrt(bn.running_var + bn.eps).reshape(shape)
+    xn = (x - mu) * (1.0 / std)
+    return xn * bn.gamma.reshape(shape) + bn.beta.reshape(shape)
+
+
 class TestOneNodeBatchNorm:
     @staticmethod
     def run(forward, dtype, seed=3):
@@ -202,6 +211,8 @@ class TestOneNodeBatchNorm:
         x = Tensor((rng.standard_normal((6, 4, 5, 7)) * 3.0 + 1.5)
                    .astype(dtype), requires_grad=True)
         weight = Tensor(rng.standard_normal(x.shape).astype(dtype))
+        bn.running_var = (rng.random(4) + 0.5).astype(dtype)
+        bn.initialized = True
         out = forward(bn, x)
         (out * weight).sum().backward()
         return bn, x, out
@@ -223,8 +234,42 @@ class TestOneNodeBatchNorm:
             err = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert err < 1e-10
 
+    def test_eval_is_one_node(self):
+        bn, x, out = self.run(lambda bn, x: bn.forward(x, False), np.float64)
+        assert [id(p) for p in out._parents] == \
+            [id(x), id(bn.gamma), id(bn.beta)]
+
+    def test_eval_matches_composed_reference(self):
+        bn, x, out = self.run(lambda bn, x: bn.forward(x, False), np.float64)
+        ref_bn, ref_x, ref = self.run(composed_eval_batch_norm, np.float64)
+        assert np.array_equal(bn.running_mean, ref_bn.running_mean)
+        assert np.array_equal(bn.running_var, ref_bn.running_var)
+        for got, want in ((out.data, ref.data), (x.grad, ref_x.grad),
+                          (bn.gamma.grad, ref_bn.gamma.grad),
+                          (bn.beta.grad, ref_bn.beta.grad)):
+            err = np.linalg.norm(got - want) / np.linalg.norm(want)
+            assert err < 1e-15
+
+    def test_eval_gradcheck(self, rng):
+        bn = BatchNorm2d(3)
+        bn.running_mean = rng.standard_normal(3)
+        bn.running_var = rng.random(3) + 0.5
+        bn.gamma.data = rng.random(3) + 0.5
+        bn.initialized = True
+        x = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True)
+        target = Tensor(rng.standard_normal((4, 3, 3, 3)))
+        check_gradients(
+            lambda: ((bn.forward(x, training=False) - target) ** 2).sum(),
+            {"x": x, "gamma": bn.gamma, "beta": bn.beta})
+
     def test_float32_stays_float32(self):
         bn, x, out = self.run(lambda bn, x: bn.forward(x, True), np.float32)
+        assert out.dtype == np.float32
+        for grad in (x.grad, bn.gamma.grad, bn.beta.grad):
+            assert grad.dtype == np.float32
+
+    def test_eval_float32_stays_float32(self):
+        bn, x, out = self.run(lambda bn, x: bn.forward(x, False), np.float32)
         assert out.dtype == np.float32
         for grad in (x.grad, bn.gamma.grad, bn.beta.grad):
             assert grad.dtype == np.float32
@@ -503,12 +548,12 @@ class TestStackedGenerators:
         assert np.array_equal(bank, per_group_bank(layer))
 
     def test_seed_draws_generators_in_per_group_order(self):
-        layer = GroupConvLayer(2, 3, 2, 3, 0.5, np.random.default_rng(5),
-                               init_eps=0.02)
+        layer = GroupConvLayer(2, 3, 2, 3, 0.5, np.random.default_rng(5))
         rng = np.random.default_rng(5)
+        eps = GroupAction.init_eps
         for k in range(3):
-            a = np.eye(9) + 0.02 * rng.standard_normal((9, 9))
-            a_tilde = np.eye(9) + 0.02 * rng.standard_normal((9, 9))
+            a = np.eye(9) + eps * rng.standard_normal((9, 9))
+            a_tilde = np.eye(9) + eps * rng.standard_normal((9, 9))
             assert np.array_equal(layer.action.a.data[k], a)
             assert np.array_equal(layer.action.a_tilde.data[k], a_tilde)
         scale = 0.1 / np.sqrt(2 * 9)

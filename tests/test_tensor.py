@@ -1,5 +1,8 @@
 """Autodiff core: op semantics, adjoint identities, finite-difference checks."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -299,3 +302,25 @@ class TestDeterminism:
             return w.data.tobytes()
 
         assert run() == run()
+
+
+# A gradient 7x the true one must fail the check, also when Python runs
+# with -O and drops bare asserts.
+WRONG_GRADIENT = """
+import numpy as np
+from orbitnet import gradcheck
+from orbitnet.tensor import Tensor
+true = gradcheck.gradient_of
+gradcheck.gradient_of = lambda loss, ps: [7 * g for g in true(loss, ps)]
+p = Tensor(np.array([0.3, -0.8]), requires_grad=True)
+try:
+    gradcheck.check_gradients(lambda: (p * p).sum(), {"p": p})
+except AssertionError as err:
+    print(err)
+"""
+
+
+def test_check_gradients_raises_under_optimize_flag():
+    out = subprocess.run([sys.executable, "-O", "-c", WRONG_GRADIENT],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.startswith("gradient mismatch for 'p'")
