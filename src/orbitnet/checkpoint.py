@@ -61,20 +61,27 @@ def load_checkpoint(path):
         data = fh.read()
     if data[:8] != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    version, count = struct.unpack_from("<II", data, 8)
+
+    def unpack(fmt, offset):
+        if offset + struct.calcsize(fmt) > len(data):
+            raise CheckpointError(f"{path}: truncated: file ends at byte "
+                                  f"{len(data)}, inside the field at {offset}")
+        return struct.unpack_from(fmt, data, offset)
+
+    version, count = unpack("<II", 8)
     if version != VERSION:
         raise CheckpointError(
             f"{path}: format version {version}, this build reads {VERSION}")
     arrays = {}
     offset = 16
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", data, offset)
+        (name_len,) = unpack("<H", offset)
         offset += 2
-        name = data[offset:offset + name_len].decode("utf-8")
+        name = unpack(f"<{name_len}s", offset)[0].decode("utf-8")
         offset += name_len
-        (ndim,) = struct.unpack_from("<B", data, offset)
+        (ndim,) = unpack("<B", offset)
         offset += 1
-        shape = struct.unpack_from(f"<{ndim}I", data, offset) if ndim else ()
+        shape = unpack(f"<{ndim}I", offset)
         offset += 4 * ndim
         size = int(np.prod(shape)) if ndim else 1
         end = offset + 8 * size

@@ -13,13 +13,24 @@ from .config import (DATA_SOURCES, DATASETS, LOSS_VARIANTS, PRECISIONS, TASKS,
                      load_config)
 
 
+def _thread_count(text):
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a count of 1 or more, got {text!r}")
+    return count
+
+
 def _add_common(parser):
     parser.add_argument("--seed", type=int)
     parser.add_argument("--out", dest="out_dir", metavar="OUT",
                         help="output directory")
     parser.add_argument("--data-root")
     parser.add_argument("--data-source", choices=DATA_SOURCES)
-    parser.add_argument("--threads", type=int,
+    parser.add_argument("--threads", type=_thread_count,
                         help="cap BLAS/OpenMP threads (1 = deterministic "
                              "single-threaded mode)")
 
@@ -66,7 +77,7 @@ def build_parser():
     analyze.add_argument("--config",
                          help="config.json (defaults to the checkpoint's "
                               "sibling)")
-    analyze.add_argument("--threads", type=int)
+    analyze.add_argument("--threads", type=_thread_count)
 
     fetch = sub.add_parser("fetch", help="download dataset archives")
     fetch.add_argument("--dataset", choices=DATASETS, required=True)

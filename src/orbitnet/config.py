@@ -12,6 +12,22 @@ PRECISIONS = ("float32", "float64")   # numpy dtype names
 # default regularization weight per invertibility-loss variant
 DEFAULT_MU = {"aux_inverse": 0.001, "svd_sum": 0.01, "svd_logdet": 0.01}
 
+CHOICES = {"dataset": DATASETS, "task": TASKS, "loss_variant": LOSS_VARIANTS,
+           "data_source": DATA_SOURCES, "precision": PRECISIONS}
+MINIMUM = {"num_layers": 1, "num_groups": 1, "group_order": 1,
+           "filter_size": 1, "batch_size": 1, "epochs": 0, "mu": 0,
+           "subset": 1}
+
+# keys that older config.json files carry, at the value every run used
+RETIRED = {"squared_frobenius": False, "one_sided": True}
+
+
+def _is_a(value, kind):
+    """isinstance for a field type: a bool is no number, an int is a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
 
 @dataclass
 class RunConfig:
@@ -27,8 +43,6 @@ class RunConfig:
     batch_size: int = 32    # keeps per-batch conv buffers cheap on one core
     mu: float = None              # defaults per loss_variant when unset
     loss_variant: str = "aux_inverse"
-    squared_frobenius: bool = False
-    one_sided: bool = True
     tied: bool = False
     seed: int = 0
     subset: int = None            # train on the first N after a seeded shuffle
@@ -44,34 +58,20 @@ class RunConfig:
     def validate(self):
         """Collect every problem before any work happens."""
         problems = []
-        if self.dataset not in DATASETS:
-            problems.append(f"dataset must be one of {DATASETS}, "
-                            f"got {self.dataset!r}")
-        if self.task not in TASKS:
-            problems.append(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.loss_variant not in LOSS_VARIANTS:
-            problems.append(f"loss_variant must be one of {LOSS_VARIANTS}, "
-                            f"got {self.loss_variant!r}")
-        if self.data_source not in DATA_SOURCES:
-            problems.append(f"data_source must be one of {DATA_SOURCES}, "
-                            f"got {self.data_source!r}")
-        if self.precision not in PRECISIONS:
-            problems.append(f"precision must be one of {PRECISIONS}, "
-                            f"got {self.precision!r}")
-        for name in ("num_layers", "num_groups", "group_order", "filter_size",
-                     "batch_size"):
-            if getattr(self, name) < 1:
-                problems.append(f"{name} must be >= 1")
-        if self.epochs < 0:
-            problems.append("epochs must be >= 0")
-        if self.alpha <= 0:
-            problems.append("alpha must be positive")
-        if self.lr <= 0:
-            problems.append("lr must be positive")
-        if self.mu < 0:
-            problems.append("mu must be nonnegative")
-        if self.subset is not None and self.subset < 1:
-            problems.append("subset must be >= 1 when given")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name in ("mu", "subset"):
+                continue
+            if not _is_a(value, f.type):
+                problems.append(f"{f.name} must be a {f.type.__name__}, "
+                                f"got {value!r}")
+            elif f.name in CHOICES and value not in CHOICES[f.name]:
+                problems.append(f"{f.name} must be one of {CHOICES[f.name]}, "
+                                f"got {value!r}")
+            elif f.name in MINIMUM and value < MINIMUM[f.name]:
+                problems.append(f"{f.name} must be >= {MINIMUM[f.name]}")
+            elif f.name in ("alpha", "lr") and value <= 0:
+                problems.append(f"{f.name} must be positive")
         if problems:
             raise ValueError("invalid configuration:\n  "
                              + "\n  ".join(problems))
@@ -84,14 +84,19 @@ class RunConfig:
 def load_config(path=None, overrides=None):
     """Build a RunConfig from an optional JSON file plus override mapping.
 
-    Unknown keys in the file are an error; overrides that are None or not
-    RunConfig fields (the CLI's other options) are ignored.
+    Unknown keys in the file are an error, except a RETIRED key at its
+    one value; overrides that are None or not RunConfig fields (the CLI's
+    other options) are ignored.
     """
     known = {f.name for f in fields(RunConfig)}
     values = {}
     if path is not None:
         with open(path) as fh:
             loaded = json.load(fh)
+        for key, value in RETIRED.items():
+            if key in loaded and loaded.pop(key) is not value:
+                raise ValueError(f"config key {key!r} is retired; only "
+                                 f"{json.dumps(value)} still loads")
         unknown = set(loaded) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -5,13 +5,13 @@ magic 2051/2049) for the digit images, and 3073-byte label+pixel records
 for the color set. A fetch helper downloads the official archives; when no
 network is available, `synthesize_*_like` writes procedurally generated
 stand-in datasets in the same binary formats so every code path downstream
-of the parsers behaves identically.
+of the parsers behaves identically. The fetch helpers import their
+download, archive and hash modules themselves: `urllib.request` alone pulls
+in `http.client`, `email` and `ssl`, which no training, synthetic or
+analysis process needs.
 """
 
 import gzip
-import hashlib
-import tarfile
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -176,6 +176,7 @@ def write_cifar_batch(path, images, labels):
 # -- fetching ------------------------------------------------------------------
 
 def _download(url, dest):
+    import urllib.request
     with urllib.request.urlopen(url, timeout=60) as resp:
         dest.write_bytes(resp.read())
 
@@ -207,6 +208,8 @@ def fetch_mnist(root):
 
 def fetch_cifar10(root):
     """Download, md5-check and unpack the color archive inside `root` only."""
+    import hashlib
+    import tarfile
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     if (root / "cifar-10-batches-bin" / "data_batch_1.bin").exists():

@@ -120,19 +120,15 @@ def expand_orbit(action, basis):
     return FilterOrbit(expanded=elements)
 
 
-def invertibility_loss(action, mu, squared=False):
+def invertibility_loss(action, mu):
     """mu * ||A @ A_tilde - I||_F, differentiable in both matrices.
 
     A stack of generators contributes the sum of its per-group norms.
-    `squared=True` penalizes the squared norm instead; the unsquared form
-    is the default.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     d = action.a.shape[-1]
     residual = action.a @ action.a_tilde - np.eye(d, dtype=action.a.dtype)
-    if squared:
-        return mu * (residual * residual).sum()
     return mu * frobenius_norm(residual, axis=(-2, -1)).sum()
 
 
@@ -140,21 +136,21 @@ def invertibility_loss(action, mu, squared=False):
 _SIGMA_FLOOR = float(np.finfo(np.float64).eps)
 
 
-def svd_invertibility_loss(action, mu, variant="sum"):
+def svd_invertibility_loss(action, mu, variant="svd_sum"):
     """Singular-value penalty pushing A away from rank deficiency.
 
     A stack of generators contributes the sum over its groups.
-    variant="sum": -mu * sum_i sigma_i(A).
-    variant="logdet": -mu * log(prod_i sigma_i(A)); singular values at or
+    variant="svd_sum": -mu * sum_i sigma_i(A).
+    variant="svd_logdet": -mu * log(prod_i sigma_i(A)); singular values at or
     below machine epsilon are clamped to it (large finite penalty, with a
     warning) instead of producing an infinite loss.
     """
     if mu < 0:
         raise ValueError("mu must be nonnegative")
     sigma = singular_values(action.a)
-    if variant == "sum":
+    if variant == "svd_sum":
         return -mu * sigma.sum()
-    if variant == "logdet":
+    if variant == "svd_logdet":
         mask = (sigma.data > _SIGMA_FLOOR).astype(sigma.dtype)
         if not mask.all():
             warnings.warn(

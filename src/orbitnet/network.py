@@ -15,7 +15,7 @@ one [K, d, d] stack; checkpoints still name them one group at a time.
 
 import numpy as np
 
-from .config import TASKS
+from .config import LOSS_VARIANTS, TASKS
 from .conv import avg_pool_to, conv2d_adjoint, conv2d_same
 from .groups import GroupAction, expand_orbit, invertibility_loss, \
     svd_invertibility_loss
@@ -178,16 +178,14 @@ class UnfoldedNetwork:
     NUM_CLASSES = 10
 
     def __init__(self, task, in_channels, num_layers, num_groups, group_order,
-                 filter_size, alpha, rng, tied=False, one_sided=True,
-                 dtype=np.float64):
+                 filter_size, alpha, rng, tied=False, dtype=np.float64):
         if task not in TASKS:
             raise ValueError(f"unknown task: {task!r}")
         self.task = task
         self.tied = tied
         self.training = True
         layers = [GroupConvLayer(in_channels, num_groups, group_order,
-                                 filter_size, alpha, rng, one_sided=one_sided,
-                                 dtype=dtype)
+                                 filter_size, alpha, rng, dtype=dtype)
                   for _ in range(1 if tied else num_layers)]
         self.layers = layers * num_layers if tied else layers
         channels = num_groups * group_order
@@ -309,28 +307,22 @@ def task_loss(net, x, labels=None):
     return (diff * diff).mean()
 
 
-def training_loss(net, x, labels=None, mu=0.0, loss_variant="aux_inverse",
-                  squared_frobenius=False):
+def training_loss(net, x, labels=None, mu=0.0, loss_variant="aux_inverse"):
     """Task loss plus the selected invertibility penalty over all groups."""
     return add_invertibility_penalty(net, task_loss(net, x, labels), mu,
-                                     loss_variant, squared_frobenius)
+                                     loss_variant)
 
 
-_SVD_VARIANTS = {"svd_sum": "sum", "svd_logdet": "logdet"}
-
-
-def add_invertibility_penalty(net, loss, mu, loss_variant="aux_inverse",
-                              squared_frobenius=False):
+def add_invertibility_penalty(net, loss, mu, loss_variant="aux_inverse"):
     """`loss` plus the selected penalty, one call per layer's generator stack."""
-    if loss_variant != "aux_inverse" and loss_variant not in _SVD_VARIANTS:
+    if loss_variant not in LOSS_VARIANTS:
         raise ValueError(f"unknown loss variant: {loss_variant!r}")
     if mu == 0.0:
         return loss
     for layer in net.unique_layers():
         if loss_variant == "aux_inverse":
-            loss = loss + invertibility_loss(layer.action, mu,
-                                             squared=squared_frobenius)
+            loss = loss + invertibility_loss(layer.action, mu)
         else:
-            loss = loss + svd_invertibility_loss(
-                layer.action, mu, variant=_SVD_VARIANTS[loss_variant])
+            loss = loss + svd_invertibility_loss(layer.action, mu,
+                                                 loss_variant)
     return loss

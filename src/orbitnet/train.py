@@ -77,7 +77,7 @@ def build_network(cfg: RunConfig, in_channels, rng):
         task=cfg.task, in_channels=in_channels, num_layers=cfg.num_layers,
         num_groups=cfg.num_groups, group_order=cfg.group_order,
         filter_size=cfg.filter_size, alpha=cfg.alpha, rng=rng,
-        tied=cfg.tied, one_sided=cfg.one_sided, dtype=cfg.precision)
+        tied=cfg.tied, dtype=cfg.precision)
 
 
 def _epoch_record(net, cfg, epoch, mean_task_loss):
@@ -167,8 +167,7 @@ def run_training(cfg: RunConfig, out_dir=None):
 
 def training_loss_from_task(net, task, cfg: RunConfig):
     """Attach the configured invertibility penalty to an existing task loss."""
-    return add_invertibility_penalty(net, task, cfg.mu, cfg.loss_variant,
-                                     cfg.squared_frobenius)
+    return add_invertibility_penalty(net, task, cfg.mu, cfg.loss_variant)
 
 
 # -- synthetic probe driver ------------------------------------------------------

@@ -1,5 +1,6 @@
 """Binary checkpoint container."""
 
+import re
 import struct
 
 import numpy as np
@@ -81,6 +82,16 @@ class TestCheckpoint:
         path.write_bytes(blob[:-40])
         with pytest.raises(CheckpointError, match="past end"):
             load_checkpoint(path)
+
+    def test_every_truncation_names_the_path(self, tmp_path, rng):
+        path = tmp_path / "cut.ckpt"
+        save_checkpoint(path, {"w": rng.standard_normal((2, 3)),
+                               "bias": rng.standard_normal(2)})
+        blob = path.read_bytes()
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(CheckpointError, match=re.escape(str(path))):
+                load_checkpoint(path)
 
     def test_trailing_garbage_rejected(self, tmp_path, rng):
         path = tmp_path / "g.ckpt"

@@ -203,11 +203,20 @@ class TestThreads:
                 if not k.endswith("_NUM_THREADS")}
 
     def test_cli_import_loads_no_numpy(self):
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, orbitnet.cli; print('numpy' in sys.modules)"],
-            env=self.clean_env(), capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        # numpy waits for --threads; only fetching needs the download,
+        # archive and hash modules
+        cases = [("orbitnet.cli", "numpy"),
+                 ("orbitnet.train, orbitnet.analysis", "urllib.request"),
+                 ("orbitnet.train, orbitnet.analysis", "tarfile"),
+                 ("orbitnet.train, orbitnet.analysis", "hashlib")]
+        for modules, forbidden in cases:
+            probe = f"import sys, {modules}; print({forbidden!r} in " \
+                    "sys.modules)"
+            out = subprocess.run(
+                [sys.executable, "-c", probe],
+                env=self.clean_env(), capture_output=True, text=True,
+                check=True)
+            assert out.stdout.strip() == "False", (modules, forbidden)
 
     def test_threads_flag_applies_before_numpy_loads(self, tmp_path):
         out = subprocess.run(
@@ -239,6 +248,16 @@ class TestParser:
                         (name, action.option_strings)
                     seen.append(action.choices)
         assert all(any(c is v for c in seen) for v in vocabularies)
+
+    @pytest.mark.parametrize("command", [
+        ["train"], ["synthetic"], ["analyze", "final.ckpt", "--out", "an"]])
+    def test_threads_below_one_rejected(self, command, capsys):
+        for value in ("0", "-2"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--threads", value])
+            assert "1 or more" in capsys.readouterr().err
+        args = build_parser().parse_args(command + ["--threads", "2"])
+        assert args.threads == 2
 
     def test_train_options_are_config_fields(self):
         names = {f.name for f in fields(RunConfig)}
@@ -390,6 +409,26 @@ class TestAnalyzeCommand:
         out, saved = self.trained_run(tmp_path)
         analyze = self.analyze_with(tmp_path, out, saved, epochs=-5)
         with pytest.raises(ValueError, match="invalid configuration"):
+            analyze()
+        assert not (tmp_path / "an").exists()
+
+    def test_config_with_the_retired_keys_still_analyses(self, tmp_path):
+        # config.json files written before squared_frobenius and one_sided
+        # were retired name both, at the value every run used
+        out, saved = self.trained_run(tmp_path)
+        reports = run_analysis(out / "final.ckpt", tmp_path / "now")
+        analyze = self.analyze_with(tmp_path, out, saved,
+                                    squared_frobenius=False, one_sided=True)
+        assert [r.to_json() for r in analyze()] == \
+            [r.to_json() for r in reports]
+
+    @pytest.mark.parametrize("key, value", [("squared_frobenius", True),
+                                            ("one_sided", False)])
+    def test_retired_key_at_another_value_rejected(self, tmp_path, key,
+                                                   value):
+        out, saved = self.trained_run(tmp_path)
+        analyze = self.analyze_with(tmp_path, out, saved, **{key: value})
+        with pytest.raises(ValueError, match=key):
             analyze()
         assert not (tmp_path / "an").exists()
 

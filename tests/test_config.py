@@ -48,6 +48,23 @@ class TestValidation:
         with pytest.raises(ValueError, match="subset"):
             RunConfig(subset=0).validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("tied", "no"), ("num_layers", 2.5), ("seed", 1.5), ("epochs", "5"),
+        ("num_layers", True), ("alpha", False), ("subset", 2.0),
+        ("dataset", 3)])
+    def test_wrong_type_rejected(self, field, value, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: value}))
+        message = rf"invalid configuration:\s+{field} must be a "
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
+
+    def test_int_counts_as_float_and_none_as_unset(self):
+        RunConfig(alpha=1, lr=1, mu=0).validate()
+        cfg = RunConfig(subset=None)
+        cfg.mu = None
+        cfg.validate()
+
 
 class TestLoadConfig:
     def test_file_plus_overrides(self, tmp_path):
@@ -74,6 +91,21 @@ class TestLoadConfig:
         assert (cfg.epochs, cfg.seed) == (7, 4)
         path.write_text(json.dumps({"epochs": 7, "threads": 1}))
         with pytest.raises(ValueError, match="threads"):
+            load_config(path)
+
+    def test_retired_keys_load_at_their_one_value(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"epochs": 7, "squared_frobenius": False,
+                                    "one_sided": True}))
+        assert load_config(path) == RunConfig(epochs=7)
+
+    @pytest.mark.parametrize("key, value", [
+        ("squared_frobenius", True), ("one_sided", False), ("one_sided", 1)])
+    def test_retired_keys_at_another_value_rejected(self, tmp_path, key,
+                                                     value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: value}))
+        with pytest.raises(ValueError, match=key):
             load_config(path)
 
     def test_no_file_all_defaults(self):

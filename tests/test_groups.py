@@ -299,12 +299,6 @@ class TestInvertibilityLoss:
         with pytest.raises(ValueError):
             invertibility_loss(g, mu=-1.0)
 
-    def test_squared_variant(self):
-        d = 4
-        g = GroupAction(Tensor(2 * np.eye(d)), Tensor(np.eye(d)), 2, 2, 2)
-        assert invertibility_loss(g, mu=1.0, squared=True).item() == \
-            pytest.approx(d, rel=1e-12)
-
     def test_differentiable_in_both(self, rng):
         g = GroupAction.initialize(2, 2, 2, rng)
         check_gradients(lambda: invertibility_loss(g, mu=0.7),
@@ -357,8 +351,8 @@ class TestSvdInvertibilityLoss:
         g = action_from_matrix(a, 2, 2, 2)
         sigma = jacobi_svd(a)[1]
         expected = -np.sum(np.log(sigma))
-        assert svd_invertibility_loss(g, mu=1.0, variant="logdet").item() == \
-            pytest.approx(expected, rel=1e-10)
+        loss = svd_invertibility_loss(g, mu=1.0, variant="svd_logdet")
+        assert loss.item() == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_logdet_is_plain_log_when_nothing_clamps(self, dtype, rng):
@@ -367,7 +361,7 @@ class TestSvdInvertibilityLoss:
         g = GroupAction(a, Tensor(np.ones_like(a.data)), 2, 2, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            loss = svd_invertibility_loss(g, mu=0.3, variant="logdet")
+            loss = svd_invertibility_loss(g, mu=0.3, variant="svd_logdet")
         loss.backward()
         grad, a.grad = a.grad, None
         ref = -0.3 * log(singular_values(a)).sum()
@@ -379,7 +373,7 @@ class TestSvdInvertibilityLoss:
         a = np.diag([1.0, 0.0, 2.0])
         g = GroupAction(Tensor(a), Tensor(np.eye(3)), 2, 1, 3)
         with pytest.warns(RuntimeWarning):
-            loss = svd_invertibility_loss(g, mu=1.0, variant="logdet")
+            loss = svd_invertibility_loss(g, mu=1.0, variant="svd_logdet")
         assert np.isfinite(loss.item())
 
     def test_unknown_variant_rejected(self):
