@@ -145,8 +145,21 @@ def structure_report(action, layer=0):
 # -- exports ---------------------------------------------------------------------
 
 def save_csv(path, matrix):
-    """Row-major CSV at full float precision."""
-    np.savetxt(path, np.asarray(matrix), delimiter=",", fmt="%.17g")
+    """Row-major CSV at full float precision.
+
+    The bytes of np.savetxt(path, matrix, delimiter=",", fmt="%.17g"),
+    formatted by one % over the whole matrix instead of one per row.
+    """
+    matrix = np.asarray(matrix)
+    if matrix.ndim == 1:
+        matrix = matrix[:, None]    # a vector is one column, as in savetxt
+    if matrix.ndim != 2:
+        raise ValueError(f"expected a 1-D or 2-D array, got shape "
+                         f"{matrix.shape}")
+    rows, cols = matrix.shape
+    row = ",".join(["%.17g"] * cols) + "\n"
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        fh.write(row * rows % tuple(matrix.ravel().tolist()))
 
 
 def load_csv(path):

@@ -77,7 +77,11 @@ def load_checkpoint(path):
     for _ in range(count):
         (name_len,) = unpack("<H", offset)
         offset += 2
-        name = unpack(f"<{name_len}s", offset)[0].decode("utf-8")
+        try:
+            name = unpack(f"<{name_len}s", offset)[0].decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise CheckpointError(f"{path}: tensor name at byte {offset} is "
+                                  f"not UTF-8: {err.reason}") from None
         offset += name_len
         (ndim,) = unpack("<B", offset)
         offset += 1

@@ -52,7 +52,8 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self):
-        if self.mu is None:
+        # a loss_variant of the wrong type keeps mu unset; validate names it
+        if self.mu is None and isinstance(self.loss_variant, str):
             self.mu = DEFAULT_MU.get(self.loss_variant, 0.001)
 
     def validate(self):

@@ -433,7 +433,8 @@ def save_pairs_csv(path, xs, ys):
     ys = np.asarray(ys)
     if xs.shape != ys.shape or xs.ndim != 2:
         raise ValueError(f"mismatched pair arrays: {xs.shape} vs {ys.shape}")
-    np.savetxt(path, np.hstack([xs, ys]), delimiter=",", fmt="%.17g")
+    from .analysis import save_csv
+    save_csv(path, np.hstack([xs, ys]))
 
 
 def load_pairs_csv(path):

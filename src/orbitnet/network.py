@@ -25,11 +25,18 @@ from .tensor import Tensor, cross_entropy, parameter, soft_threshold, stack
 class BatchNorm2d:
     """Per-channel batch normalization over [N, C, H, W], one tape node.
 
-    gamma * x_hat + beta with x_hat = (x - mean) * rs, rs = (var + eps)^-1/2,
-    over the m = N*H*W values of a channel in training (which updates the
-    running statistics) or from the running statistics in eval. Backward:
-    d_beta = sum(g), d_gamma = sum(g * x_hat); d_x = g * gamma * rs in eval,
+    gamma * x_hat + beta with x_hat = (x - centre) * rs, rs = (var + eps)^-1/2,
+    over the m = N*H*W values of a channel in training (centre and var are
+    the batch's, and update the running statistics) or from the running
+    statistics in eval. Backward: d_beta = sum(g), d_gamma = sum(g * x_hat);
+    d_x = g * gamma * rs in eval,
     gamma * rs / m * (m * g - sum(g) - x_hat * sum(g * x_hat)) in training.
+
+    The node keeps only the per-channel centre and rs: backward rebuilds
+    x_hat from x.data with the same two operations as forward, so x.data
+    must not change between forward and backward (as for every op that
+    reads its input in backward). Forward makes one full-size array, the
+    output, and squares into it to get the batch variance.
     """
 
     momentum = 0.1
@@ -52,23 +59,29 @@ class BatchNorm2d:
                 "batch norm has no running statistics; run at least one "
                 "training-mode forward pass or load a checkpoint")
         if training:
-            mu = x.data.mean(axis=axes, keepdims=True)
-            centered = x.data - mu
-            var = (centered * centered).mean(axis=axes, keepdims=True)
+            centre = x.data.mean(axis=axes, keepdims=True)
+            out = np.subtract(x.data, centre)
+            var = np.multiply(out, out, out=out).mean(axis=axes,
+                                                      keepdims=True)
+            np.subtract(x.data, centre, out=out)
             unbiased = var.reshape(-1) * count / max(count - 1, 1)
             self.running_mean = ((1 - self.momentum) * self.running_mean
-                                 + self.momentum * mu.reshape(-1))
+                                 + self.momentum * centre.reshape(-1))
             self.running_var = ((1 - self.momentum) * self.running_var
                                 + self.momentum * unbiased)
             self.initialized = True
         else:
-            centered = x.data - self.running_mean.reshape(shape)
+            centre = self.running_mean.reshape(shape)
             var = self.running_var.reshape(shape)
+            out = np.subtract(x.data, centre)
         rs = (var + self.eps) ** -0.5
-        xhat = centered * rs
-        out = xhat * gamma.data.reshape(shape) + beta.data.reshape(shape)
+        out *= rs
+        out *= gamma.data.reshape(shape)
+        out += beta.data.reshape(shape)
 
         def backward(g):
+            xhat = np.subtract(x.data, centre)
+            xhat *= rs
             sum_g = g.sum(axis=axes)
             gx = g * xhat
             sum_gx = gx.sum(axis=axes)
@@ -79,9 +92,9 @@ class BatchNorm2d:
             if x.requires_grad and not training:
                 x._accumulate(g * (gamma.data.reshape(shape) * rs))
             elif x.requires_grad:
-                dx = g * count
+                dx = np.multiply(g, count, out=gx)
                 dx -= sum_g.reshape(shape)
-                dx -= np.multiply(xhat, sum_gx.reshape(shape), out=gx)
+                dx -= np.multiply(xhat, sum_gx.reshape(shape), out=xhat)
                 dx *= gamma.data.reshape(shape) * rs / count
                 x._accumulate(dx)
         return Tensor._result(out, (x, gamma, beta), backward)
@@ -146,7 +159,9 @@ class GroupConvLayer:
             residual = x - conv2d_adjoint(z_prev, bank)
             u = conv2d_same(residual, self.alpha * bank, z_prev)
         lam = self.lam.reshape(1, self.out_channels, 1, 1)
-        return soft_threshold(u, lam, one_sided=self.one_sided)
+        # nothing else reads the correlation's fresh output: shrink into it
+        return soft_threshold(u, lam, one_sided=self.one_sided,
+                              in_place=True)
 
     def clamp_thresholds(self):
         np.maximum(self.lam.data, 0.0, out=self.lam.data)

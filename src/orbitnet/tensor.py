@@ -323,37 +323,50 @@ def parameter(data, dtype=np.float64):
     return Tensor(np.asarray(data, dtype=dtype), requires_grad=True)
 
 
-def soft_threshold(u, lam, one_sided=False):
+def soft_threshold(u, lam, one_sided=False, in_place=False):
     """Shrinkage nonlinearity.
 
     Two-sided: sign(u) * max(|u| - lam, 0). One-sided: max(u - lam, 0),
     a shifted rectifier. `lam` must be elementwise nonnegative and may be a
     scalar, array, or Tensor broadcastable against `u`; the subgradient at
-    the kinks is taken as zero.
+    the kinks is taken as zero. A NaN in u gives a NaN output.
+
+    The node keeps no mask or sign: backward reads only its own output and
+    rebuilds them from it, as out > 0 one-sided and as out != 0 and
+    sign(out) two-sided. That is exact, because with gradual underflow
+    u - lam is zero only where u == lam, and the sign is used only where
+    the mask is set.
+
+    By default the result is a new array. With `in_place` it is written
+    into u's own buffer, which must have the result's shape and dtype and
+    which nothing else may read afterwards: the unfolding layer passes the
+    fresh output of its correlation.
     """
     u = Tensor._lift(u)
     lam = Tensor._lift(lam, u)
     if np.any(lam.data < 0):
         raise ValueError("soft_threshold requires lam >= 0 elementwise")
+    out = u.data if in_place else np.empty(
+        np.broadcast_shapes(u.shape, lam.shape),
+        np.result_type(u.data, lam.data))
     if one_sided:
-        diff = u.data - lam.data
-        mask = diff > 0
-        out_data = np.where(mask, diff, 0.0)
-        sign = None
+        np.subtract(u.data, lam.data, out=out)
+        # max(-0.0, 0.0) is +0.0, the zero of the dead zone
+        np.maximum(out, 0.0, out=out)
     else:
-        mask = np.abs(u.data) > lam.data
-        sign = np.sign(u.data)
-        out_data = np.where(mask, u.data - sign * lam.data, 0.0)
+        dead = np.abs(u.data) <= lam.data
+        np.subtract(u.data, np.sign(u.data) * lam.data, out=out)
+        out[dead] = 0.0
 
     def backward(g):
-        gm = g * mask
+        gm = g * (out > 0 if one_sided else out != 0)
         if u.requires_grad:
             u._accumulate(_unbroadcast(gm, u.shape))
         if lam.requires_grad:
             # negating after the reduction is exact, and one pass cheaper
-            lam._accumulate(-_unbroadcast(gm if sign is None else gm * sign,
-                                          lam.shape))
-    return Tensor._result(out_data, (u, lam), backward)
+            lam._accumulate(-_unbroadcast(gm if one_sided
+                                          else gm * np.sign(out), lam.shape))
+    return Tensor._result(out, (u, lam), backward)
 
 
 def log(x):

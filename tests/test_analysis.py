@@ -276,6 +276,22 @@ class TestReportAndExports:
         np.testing.assert_allclose(load_csv(tmp_path / "m.csv"), m,
                                    atol=1e-15)
 
+    @pytest.mark.parametrize("shape", [(1, 1), (36, 36), (3, 72)])
+    def test_csv_bytes_match_savetxt(self, shape, tmp_path, rng):
+        m = rng.standard_normal(shape)
+        specials = np.array([-0.0, 1e-300, np.nan, np.inf, -np.inf, 0.0])
+        m.flat[:len(specials)] = specials[:m.size]
+        save_csv(tmp_path / "m.csv", m)
+        np.savetxt(tmp_path / "ref.csv", m, delimiter=",", fmt="%.17g")
+        assert (tmp_path / "m.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+
+    def test_csv_vector_is_one_column(self, tmp_path):
+        save_csv(tmp_path / "v.csv", np.array([1.5, -0.0]))
+        assert (tmp_path / "v.csv").read_text() == "1.5\n-0\n"
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            save_csv(tmp_path / "t.csv", np.zeros((2, 2, 2)))
+
     def test_pgm_export(self, tmp_path, rng):
         m = rng.standard_normal((6, 6))
         path = tmp_path / "m.pgm"

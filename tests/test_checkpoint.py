@@ -93,6 +93,17 @@ class TestCheckpoint:
             with pytest.raises(CheckpointError, match=re.escape(str(path))):
                 load_checkpoint(path)
 
+    def test_non_utf8_tensor_name_names_the_path(self, tmp_path):
+        path = tmp_path / "name.ckpt"
+        save_checkpoint(path, {"w\u00e9": np.zeros(2)})
+        blob = bytearray(path.read_bytes())
+        # the name is "w" then the two UTF-8 bytes of e-acute; cut the pair
+        assert blob[19:21] == "\u00e9".encode("utf-8")
+        blob[19] = 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
     def test_trailing_garbage_rejected(self, tmp_path, rng):
         path = tmp_path / "g.ckpt"
         save_checkpoint(path, {"w": rng.standard_normal(4)})

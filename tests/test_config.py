@@ -59,6 +59,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             load_config(path)
 
+    @pytest.mark.parametrize("value", [["svd_sum"], {"svd_sum": 1}])
+    def test_unhashable_loss_variant_rejected(self, value, tmp_path):
+        # the per-variant mu default must not look an unhashable value up
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"loss_variant": value}))
+        with pytest.raises(ValueError, match=r"invalid configuration:\s+"
+                                             r"loss_variant must be a str"):
+            load_config(path)
+
     def test_int_counts_as_float_and_none_as_unset(self):
         RunConfig(alpha=1, lr=1, mu=0).validate()
         cfg = RunConfig(subset=None)

@@ -520,3 +520,7 @@ class TestTransformPairs:
         got_x, got_y = load_pairs_csv(tmp_path / "pairs.csv")
         np.testing.assert_allclose(got_x, xs, atol=1e-15)
         np.testing.assert_allclose(got_y, ys, atol=1e-15)
+        np.savetxt(tmp_path / "ref.csv", np.hstack([xs, ys]), delimiter=",",
+                   fmt="%.17g")
+        assert (tmp_path / "pairs.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()

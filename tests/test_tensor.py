@@ -73,6 +73,80 @@ class TestSoftThreshold:
         assert np.array_equal(lam.grad, ref_lam)
 
 
+def where_form_shrink(u, lam, g, one_sided):
+    """The shrink as it stored its mask and sign: (out, d_u, d_lam)."""
+    if one_sided:
+        diff = u - lam
+        mask = diff > 0
+        out = np.where(mask, diff, 0.0)
+        gm = g * mask
+        return out, _unbroadcast(gm, u.shape), -_unbroadcast(gm, lam.shape)
+    mask = np.abs(u) > lam
+    sign = np.sign(u)
+    out = np.where(mask, u - sign * lam, 0.0)
+    gm = g * mask
+    return (out, _unbroadcast(gm, u.shape),
+            -_unbroadcast(gm * sign, lam.shape))
+
+
+class TestShrinkFromItsOutput:
+    """Backward rebuilds the mask and sign from the output, bit for bit."""
+
+    @staticmethod
+    def inputs(dtype, seed=4):
+        rng = np.random.default_rng(seed)
+        lam = (rng.random((1, 4, 1, 1)) * 0.5).astype(dtype)
+        lam[0, 0] = 0.0
+        u = rng.standard_normal((3, 4, 5, 5)).astype(dtype)
+        u[0, :, 0, :2] = lam[0, :, 0]           # ties u == lam
+        u[1, :, 0, :2] = -lam[0, :, 0]          # ties u == -lam
+        u[2, :, 0, 0] = 0.0
+        u[2, :, 0, 1] = -0.0
+        u[0, 1, 1, 1] = np.finfo(dtype).tiny    # subnormal differences
+        u[0, 1, 1, 2] = -np.finfo(dtype).tiny
+        g = rng.standard_normal(u.shape).astype(dtype)
+        g[2, :, 0, 0] = -0.0
+        # every channel keeps live entries: the two-sided d_lam of a channel
+        # without one is a zero whose sign the output cannot tell
+        return u, lam, g
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("one_sided", [True, False])
+    @pytest.mark.parametrize("in_place", [False, True])
+    def test_output_and_gradients_match_where_form(self, dtype, one_sided,
+                                                   in_place):
+        u_data, lam_data, g = self.inputs(dtype)
+        ref, ref_u, ref_lam = where_form_shrink(u_data, lam_data, g,
+                                                one_sided)
+        u = parameter(u_data.copy(), dtype=dtype)
+        lam = parameter(lam_data, dtype=dtype)
+        out = soft_threshold(u, lam, one_sided, in_place=in_place)
+        out._backward(g)
+        # tobytes tells +0.0 from -0.0, which array_equal does not
+        for got, want in ((out.data, ref), (u.grad, ref_u),
+                          (lam.grad, ref_lam)):
+            assert got.dtype == want.dtype == dtype
+            assert got.tobytes() == want.tobytes()
+        assert (out.data is u.data) == in_place
+
+    @pytest.mark.parametrize("one_sided", [True, False])
+    def test_caller_tensor_unchanged(self, one_sided):
+        u_data, lam_data, g = self.inputs(np.float64)
+        u = parameter(u_data.copy())
+        out = soft_threshold(u, lam_data, one_sided)
+        out._backward(g)
+        assert u.data.tobytes() == u_data.tobytes()
+        assert out.data is not u.data
+
+    @pytest.mark.parametrize("one_sided", [True, False])
+    def test_nan_propagates(self, one_sided):
+        # the np.where form zeroed a NaN; the output now carries it
+        u = parameter(np.array([np.nan, 2.0, -2.0]))
+        out = soft_threshold(u, 1.0, one_sided)
+        assert np.isnan(out.data[0])
+        assert out.data[1] == 1.0
+
+
 class TestBasicGradients:
     def test_sum_gives_ones(self, rng):
         x = parameter(rng.standard_normal((3, 4)))
