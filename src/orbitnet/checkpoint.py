@@ -18,6 +18,7 @@ written to a temporary file beside its target and moved over it with
 `os.replace`, so a failed write leaves the previous file as it was.
 """
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -87,7 +88,7 @@ def load_checkpoint(path):
         offset += 1
         shape = unpack(f"<{ndim}I", offset)
         offset += 4 * ndim
-        size = int(np.prod(shape)) if ndim else 1
+        size = math.prod(shape)
         end = offset + 8 * size
         if end > len(data):
             raise CheckpointError(

@@ -19,7 +19,7 @@ MINIMUM = {"num_layers": 1, "num_groups": 1, "group_order": 1,
            "subset": 1}
 
 # keys that older config.json files carry, at the value every run used
-RETIRED = {"squared_frobenius": False, "one_sided": True}
+RETIRED = {"squared_frobenius": False, "one_sided": True, "tied": False}
 
 
 def _is_a(value, kind):
@@ -43,7 +43,6 @@ class RunConfig:
     batch_size: int = 32    # keeps per-batch conv buffers cheap on one core
     mu: float = None              # defaults per loss_variant when unset
     loss_variant: str = "aux_inverse"
-    tied: bool = False
     seed: int = 0
     subset: int = None            # train on the first N after a seeded shuffle
     precision: str = "float64"
@@ -94,6 +93,11 @@ def load_config(path=None, overrides=None):
     if path is not None:
         with open(path) as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            kind = {list: "array", str: "string", bool: "boolean",
+                    type(None): "null"}.get(type(loaded), "number")
+            raise ValueError(f"invalid configuration: {path} holds a JSON "
+                             f"{kind}, not an object")
         for key, value in RETIRED.items():
             if key in loaded and loaded.pop(key) is not value:
                 raise ValueError(f"config key {key!r} is retired; only "

@@ -117,8 +117,8 @@ def _correlation(x, w, z, adjoint):
                 f"added term has shape {z.shape}, correlation {y.shape}")
         y += z.data
         # z listed first: the backward walk then visits the tape in the
-        # order it did for z + conv2d_same(x, w), so gradients that sum
-        # over more than two ops (tied layers) keep their summation order
+        # order it did for z + conv2d_same(x, w), so a gradient that sums
+        # over more than two ops keeps its summation order, and its bits
         parents = (z, x, w)
 
     def backward(g):

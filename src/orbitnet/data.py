@@ -12,6 +12,7 @@ analysis process needs.
 """
 
 import gzip
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -89,7 +90,7 @@ def read_idx(path):
             f"{ndim}-dimension header")
     dims = [int.from_bytes(raw[4 + 4 * i: 8 + 4 * i], "big")
             for i in range(ndim)]
-    expected = header_end + int(np.prod(dims))
+    expected = header_end + math.prod(dims)
     if len(raw) != expected:
         raise DatasetFormatError(
             f"{path}: payload for shape {tuple(dims)} should end at offset "
@@ -125,8 +126,15 @@ def _resolve(root, names):
     return paths
 
 
+def _check_split(split):
+    if split not in ("train", "test"):
+        raise ValueError(f"unknown split {split!r}: expected 'train' or "
+                         f"'test'")
+
+
 def load_mnist(root, split="train"):
     """Load the digit dataset from IDX files under `root`."""
+    _check_split(split)
     root = Path(root)
     image_path, label_path = _resolve(root, MNIST_FILES[split])
     images = read_idx(image_path)
@@ -143,6 +151,7 @@ def load_mnist(root, split="train"):
 
 def load_cifar10(root, split="train"):
     """Load the color dataset from 3073-byte-record binaries under `root`."""
+    _check_split(split)
     root = Path(root)
     if (root / "cifar-10-batches-bin").is_dir():
         root = root / "cifar-10-batches-bin"
@@ -438,7 +447,8 @@ def save_pairs_csv(path, xs, ys):
 
 
 def load_pairs_csv(path):
-    table = np.loadtxt(path, delimiter=",", ndmin=2)
+    from .analysis import load_csv
+    table = load_csv(path)
     half = table.shape[1] // 2
     return table[:, :half], table[:, half:]
 

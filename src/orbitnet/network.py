@@ -8,7 +8,7 @@ where x is always the original input, W is the layer's filter bank applied
 convolutionally (W maps codes to image space, W^T images to code space),
 and S_lambda is the soft threshold (one-sided by default, i.e. a shifted
 rectifier with trainable per-filter bias). The bank is never stored: it is
-re-expanded once per unique layer and step from K basis filters and group
+re-expanded once per layer and step from K basis filters and group
 generators, so gradients reach both. Each layer holds its K generators as
 one [K, d, d] stack; checkpoints still name them one group at a time.
 """
@@ -193,16 +193,14 @@ class UnfoldedNetwork:
     NUM_CLASSES = 10
 
     def __init__(self, task, in_channels, num_layers, num_groups, group_order,
-                 filter_size, alpha, rng, tied=False, dtype=np.float64):
+                 filter_size, alpha, rng, dtype=np.float64):
         if task not in TASKS:
             raise ValueError(f"unknown task: {task!r}")
         self.task = task
-        self.tied = tied
         self.training = True
-        layers = [GroupConvLayer(in_channels, num_groups, group_order,
-                                 filter_size, alpha, rng, dtype=dtype)
-                  for _ in range(1 if tied else num_layers)]
-        self.layers = layers * num_layers if tied else layers
+        self.layers = [GroupConvLayer(in_channels, num_groups, group_order,
+                                      filter_size, alpha, rng, dtype=dtype)
+                       for _ in range(num_layers)]
         channels = num_groups * group_order
         self.bns = [BatchNorm2d(channels, dtype=dtype)
                     for _ in range(num_layers - 1)]
@@ -222,13 +220,12 @@ class UnfoldedNetwork:
         return self
 
     def encode(self, x):
-        """(codes, banks): each layer's code and each unique layer's bank."""
+        """(codes, banks): each layer's code and its bank, in layer order."""
         x = Tensor._lift(x)
         codes, banks = [], []
         z = None
         for i, layer in enumerate(self.layers):
-            if not (self.tied and banks):
-                banks.append(layer.weight_bank())
+            banks.append(layer.weight_bank())
             z = layer.forward(x, z, banks[-1])
             codes.append(z)
             if i < len(self.layers) - 1:
@@ -244,13 +241,10 @@ class UnfoldedNetwork:
             return flat @ self.head_weight.transpose() + self.head_bias
         return conv2d_adjoint(codes[-1], banks[0])
 
-    def unique_layers(self):
-        return self.layers[:1] if self.tied else self.layers
-
     def parameters(self):
         """Ordered name -> Tensor map of every trainable."""
         params = {}
-        for i, layer in enumerate(self.unique_layers()):
+        for i, layer in enumerate(self.layers):
             params[f"layers.{i}.A"] = layer.action.a
             params[f"layers.{i}.A_tilde"] = layer.action.a_tilde
             for k, basis in enumerate(layer.bases):
@@ -265,7 +259,7 @@ class UnfoldedNetwork:
         return params
 
     def clamp_thresholds(self):
-        for layer in self.unique_layers():
+        for layer in self.layers:
             layer.clamp_thresholds()
 
     def _checkpoint_slots(self):
@@ -334,7 +328,7 @@ def add_invertibility_penalty(net, loss, mu, loss_variant="aux_inverse"):
         raise ValueError(f"unknown loss variant: {loss_variant!r}")
     if mu == 0.0:
         return loss
-    for layer in net.unique_layers():
+    for layer in net.layers:
         if loss_variant == "aux_inverse":
             loss = loss + invertibility_loss(layer.action, mu)
         else:

@@ -77,11 +77,11 @@ def build_network(cfg: RunConfig, in_channels, rng):
         task=cfg.task, in_channels=in_channels, num_layers=cfg.num_layers,
         num_groups=cfg.num_groups, group_order=cfg.group_order,
         filter_size=cfg.filter_size, alpha=cfg.alpha, rng=rng,
-        tied=cfg.tied, dtype=cfg.precision)
+        dtype=cfg.precision)
 
 
 def _epoch_record(net, cfg, epoch, mean_task_loss):
-    stacks = [layer.action for layer in net.unique_layers()]
+    stacks = [layer.action for layer in net.layers]
     return {
         "epoch": epoch,
         "task_loss": mean_task_loss,
@@ -235,8 +235,8 @@ def run_analysis(checkpoint_path, out_dir, config_path=None):
     """Structure reports and heatmaps for every group action in a checkpoint.
 
     The checkpoint is loaded, in float64, into the network that the config
-    describes; any mismatch fails before a report is written. Each unique
-    layer's generator stack is analysed in one `structure_report` call.
+    describes; any mismatch fails before a report is written. Each layer's
+    generator stack is analysed in one `structure_report` call.
     """
     checkpoint_path = Path(checkpoint_path)
     if config_path is None:
@@ -249,7 +249,7 @@ def run_analysis(checkpoint_path, out_dir, config_path=None):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports = []
-    for li, layer in enumerate(net.unique_layers()):
+    for li, layer in enumerate(net.layers):
         stack = layer.action.a.data
         layer_reports = structure_report(layer.action, layer=li)
         for report, a, dft in zip(layer_reports, stack,

@@ -104,6 +104,17 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("extents", [(2147483648, 2147483648, 4),
+                                         (65535, 42009217, 6700417)])
+    def test_extent_product_past_int64_names_the_path(self, tmp_path,
+                                                      extents):
+        # the int64 products of these extents wrap to 0 and -1
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<IIH", 1, 1, 1) + b"w"
+                         + struct.pack("<B3I", 3, *extents))
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
     def test_trailing_garbage_rejected(self, tmp_path, rng):
         path = tmp_path / "g.ckpt"
         save_checkpoint(path, {"w": rng.standard_normal(4)})

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import types
+import zlib
 from dataclasses import fields
 
 import numpy as np
@@ -171,6 +172,18 @@ class TestTraining:
                   "--out", str(tmp_path / "bad")])
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--out", "run"], ["analyze", "final.ckpt", "--out", "an"]])
+    def test_non_object_config_file_rejected(self, tmp_path, command):
+        path = tmp_path / "list.json"
+        path.write_text('["tied"]')
+        out = tmp_path / command[-1]
+        command = command[:-1] + [str(out), "--config", str(path)]
+        with pytest.raises(ValueError, match=r"invalid configuration: "
+                                             r".*list\.json.* JSON array"):
+            main(command)
+        assert not out.exists()
+
 
 # Records OPENBLAS_NUM_THREADS at the moment numpy is first imported, runs
 # the CLI, then reads the thread count of the BLAS that numpy loaded, where
@@ -320,6 +333,21 @@ class TestSyntheticCommand:
         a = load_csv(out / f"{cell['label']}_analytic.csv")
         np.testing.assert_allclose(a, np.eye(36), atol=1e-12)
 
+    def test_save_pairs_writes_the_training_pairs(self, tmp_path):
+        from orbitnet.data import load_pairs_csv, transform_pair_dataset
+        transform = PatchTransform.pooling(3)
+        label = transform.label()
+        out = run_synthetic(tmp_path / "syn", data_root=tmp_path / "data",
+                            data_source="synthetic", num_pairs=40, holdout=10,
+                            seed=5, transforms=[transform], run_gd=False,
+                            save_pairs=True)
+        ds = resolve_dataset("cifar10", tmp_path / "data", "synthetic")
+        rng = np.random.default_rng((5, zlib.crc32(label.encode())))
+        xs, ys = transform_pair_dataset(ds.images, transform, 50, rng)
+        got_x, got_y = load_pairs_csv(out / f"{label}_pairs.csv")
+        np.testing.assert_array_equal(got_x, xs[:40])
+        np.testing.assert_array_equal(got_y, ys[:40])
+
     def test_config_flag_rejected(self, tmp_path, capsys):
         # the grid takes no RunConfig, so a config file would be ignored
         with pytest.raises(SystemExit):
@@ -388,7 +416,8 @@ class TestAnalyzeCommand:
         return lambda: run_analysis(out / "final.ckpt", tmp_path / "an",
                                     path)
 
-    @pytest.mark.parametrize("changes", [{"num_groups": 1}, {"tied": True}])
+    @pytest.mark.parametrize("changes", [{"num_groups": 1},
+                                         {"num_layers": 1}])
     def test_smaller_config_names_the_extra_tensors(self, tmp_path, changes):
         out, saved = self.trained_run(tmp_path)
         extra = ("layers.0.groups.1.A" if "num_groups" in changes
@@ -413,17 +442,19 @@ class TestAnalyzeCommand:
         assert not (tmp_path / "an").exists()
 
     def test_config_with_the_retired_keys_still_analyses(self, tmp_path):
-        # config.json files written before squared_frobenius and one_sided
-        # were retired name both, at the value every run used
+        # config.json files written before squared_frobenius, one_sided and
+        # tied were retired name them, at the value every run used
         out, saved = self.trained_run(tmp_path)
         reports = run_analysis(out / "final.ckpt", tmp_path / "now")
         analyze = self.analyze_with(tmp_path, out, saved,
-                                    squared_frobenius=False, one_sided=True)
+                                    squared_frobenius=False, one_sided=True,
+                                    tied=False)
         assert [r.to_json() for r in analyze()] == \
             [r.to_json() for r in reports]
 
     @pytest.mark.parametrize("key, value", [("squared_frobenius", True),
-                                            ("one_sided", False)])
+                                            ("one_sided", False),
+                                            ("tied", True)])
     def test_retired_key_at_another_value_rejected(self, tmp_path, key,
                                                    value):
         out, saved = self.trained_run(tmp_path)
@@ -431,6 +462,19 @@ class TestAnalyzeCommand:
         with pytest.raises(ValueError, match=key):
             analyze()
         assert not (tmp_path / "an").exists()
+
+    def test_analyze_command_prints_one_line_per_group(self, tmp_path,
+                                                       capsys):
+        out, _ = self.trained_run(tmp_path)
+        reports = run_analysis(out / "final.ckpt", tmp_path / "direct")
+        capsys.readouterr()
+        assert main(["analyze", str(out / "final.ckpt"),
+                     "--out", str(tmp_path / "an")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == \
+            [f"layer {r.layer} group {r.group}" for r in reports]
+        assert len(lines) == 4    # K*L for the tiny config
+        assert f"skew={reports[-1].skew:.3f} " in lines[-1]
 
     def test_float32_run_is_analysed_in_float64(self, tmp_path):
         out, saved = self.trained_run(tmp_path, precision="float32")

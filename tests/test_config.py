@@ -49,7 +49,7 @@ class TestValidation:
             RunConfig(subset=0).validate()
 
     @pytest.mark.parametrize("field, value", [
-        ("tied", "no"), ("num_layers", 2.5), ("seed", 1.5), ("epochs", "5"),
+        ("num_layers", 2.5), ("seed", 1.5), ("epochs", "5"),
         ("num_layers", True), ("alpha", False), ("subset", 2.0),
         ("dataset", 3)])
     def test_wrong_type_rejected(self, field, value, tmp_path):
@@ -105,16 +105,28 @@ class TestLoadConfig:
     def test_retired_keys_load_at_their_one_value(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"epochs": 7, "squared_frobenius": False,
-                                    "one_sided": True}))
+                                    "one_sided": True, "tied": False}))
         assert load_config(path) == RunConfig(epochs=7)
 
     @pytest.mark.parametrize("key, value", [
-        ("squared_frobenius", True), ("one_sided", False), ("one_sided", 1)])
+        ("squared_frobenius", True), ("one_sided", False), ("one_sided", 1),
+        ("tied", True), ("tied", "no")])
     def test_retired_keys_at_another_value_rejected(self, tmp_path, key,
                                                      value):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({key: value}))
         with pytest.raises(ValueError, match=key):
+            load_config(path)
+
+    @pytest.mark.parametrize("text, kind", [
+        ("3", "number"), ("2.5", "number"), ("null", "null"),
+        ('[{"a": 1}]', "array"), ('["tied"]', "array"), ('"tied"', "string"),
+        ("true", "boolean")])
+    def test_non_object_file_rejected(self, tmp_path, text, kind):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"invalid configuration: "
+                                             rf".*cfg\.json.* JSON {kind}"):
             load_config(path)
 
     def test_no_file_all_defaults(self):

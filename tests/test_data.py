@@ -4,12 +4,14 @@ import gzip
 import hashlib
 import io
 import os
+import re
 import tarfile
 
 import numpy as np
 import pytest
 
 from orbitnet import data
+from orbitnet.cli import main
 from orbitnet.data import (DatasetFormatError, PatchTransform,
                            avgpool_patch, extract_patch, load_cifar10,
                            load_mnist, read_idx, rotate_patch,
@@ -50,6 +52,73 @@ class TestIdxFormat:
         path.write_bytes(data[:-5])
         with pytest.raises(DatasetFormatError, match="should end at offset"):
             read_idx(path)
+
+    def test_extent_product_past_int64_names_the_path(self, tmp_path):
+        # 2^31 * 2^31 * 4 wraps to 0 in int64, which a 16-byte file matches
+        path = tmp_path / "huge"
+        path.write_bytes(b"".join(n.to_bytes(4, "big") for n in
+                                  (2051, 2147483648, 2147483648, 4)))
+        with pytest.raises(DatasetFormatError, match=re.escape(str(path))):
+            read_idx(path)
+
+    @pytest.mark.parametrize("blob, fragment", [
+        (b"\x00\x00\x08", "magic needs 4 bytes"),
+        ((2051).to_bytes(4, "big") + b"\x00" * 7, "3-dimension header")])
+    def test_cut_file_names_the_path(self, tmp_path, blob, fragment):
+        path = tmp_path / "cut"
+        path.write_bytes(blob)
+        with pytest.raises(DatasetFormatError,
+                           match=re.escape(str(path)) + ".*" + fragment):
+            read_idx(path)
+
+
+class TestMnistLoader:
+    @staticmethod
+    def write_split(root, images, labels):
+        root.mkdir(exist_ok=True)
+        image_name, label_name = data.MNIST_FILES["train"]
+        write_idx(root / image_name, images)
+        write_idx(root / label_name, labels)
+        return root / image_name, root / label_name
+
+    def test_image_rank_error_names_the_path(self, tmp_path):
+        image_path, _ = self.write_split(tmp_path, np.zeros(3), np.zeros(3))
+        with pytest.raises(DatasetFormatError,
+                           match=re.escape(str(image_path)) + ".*3-D"):
+            load_mnist(tmp_path, "train")
+
+    def test_label_count_error_names_the_path(self, tmp_path):
+        _, label_path = self.write_split(tmp_path, np.zeros((3, 2, 2)),
+                                         np.zeros(4))
+        with pytest.raises(DatasetFormatError,
+                           match=re.escape(str(label_path))
+                           + ": 4 labels for 3 images"):
+            load_mnist(tmp_path, "train")
+
+    def test_gz_files_load_like_plain_files(self, tmp_path):
+        synthesize_mnist_like(tmp_path / "plain", n_train=12, n_test=6,
+                              seed=4)
+        packed = tmp_path / "packed"
+        packed.mkdir()
+        for path in (tmp_path / "plain").iterdir():
+            (packed / (path.name + ".gz")).write_bytes(
+                gzip.compress(path.read_bytes()))
+        assert len(list(packed.iterdir())) == 4
+        for split in ("train", "test"):
+            got = load_mnist(packed, split)
+            want = load_mnist(tmp_path / "plain", split)
+            assert got.images.tobytes() == want.images.tobytes()
+            assert got.labels.tobytes() == want.labels.tobytes()
+
+
+class TestSplits:
+    @pytest.mark.parametrize("loader, make", [
+        (load_mnist, synthesize_mnist_like),
+        (load_cifar10, synthesize_cifar10_like)])
+    def test_unknown_split_rejected(self, tmp_path, loader, make):
+        make(tmp_path, n_train=10, n_test=5, seed=0)
+        with pytest.raises(ValueError, match=r"'validation'.*'train'.*'test'"):
+            loader(tmp_path, "validation")
 
 
 class TestSyntheticStandIns:
@@ -152,6 +221,16 @@ class TestFetch:
             want = load_mnist(staged, split)
             np.testing.assert_array_equal(got.images, want.images)
             np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_fetch_command_unpacks_mnist(self, tmp_path, monkeypatch,
+                                         capsys):
+        staged = mnist_mirror(tmp_path, monkeypatch)
+        root = tmp_path / "root"
+        assert main(["fetch", "--dataset", "mnist",
+                     "--data-root", str(root)]) == 0
+        assert capsys.readouterr().out == f"mnist ready under {root}\n"
+        for name in sorted(p.name for p in staged.iterdir()):
+            assert (root / name).read_bytes() == (staged / name).read_bytes()
 
     def test_mnist_size_mismatch_rejected(self, tmp_path, monkeypatch):
         mnist_mirror(tmp_path, monkeypatch)

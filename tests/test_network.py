@@ -431,7 +431,7 @@ class TestUnfoldedNetwork:
         expected = task_loss(net, x, labels).item() + sum(
             invertibility_loss(GroupAction(Tensor(a), Tensor(at), 2, 3, 3),
                                mu).item()
-            for layer in net.unique_layers()
+            for layer in net.layers
             for a, at in zip(layer.action.a.data, layer.action.a_tilde.data))
         assert total == pytest.approx(expected, rel=1e-12)
 
@@ -445,14 +445,6 @@ class TestUnfoldedNetwork:
             assert np.isfinite(loss.item())
         with pytest.raises(ValueError):
             training_loss(net, x, labels, mu=0.01, loss_variant="bogus")
-
-    def test_tied_network_shares_parameters(self, rng):
-        net = tiny_network(rng=rng, tied=True, num_layers=3)
-        assert net.layers[0] is net.layers[1] is net.layers[2]
-        names = list(net.parameters())
-        assert sum(1 for n in names if n.startswith("layers.")) == 4
-        x = Tensor(rng.random((2, 1, 8, 8)))
-        assert net.forward(x).shape == (2, 10)
 
     def test_eval_mode_is_deterministic(self, rng):
         net = tiny_network(rng=rng)
@@ -722,23 +714,19 @@ class TestStackedGenerators:
 
 
 class TestOneBankPerStep:
-    """`encode` expands each unique layer's orbit once and returns the banks."""
+    """`encode` expands each layer's orbit once and returns the banks."""
 
-    @pytest.mark.parametrize("task, tied, expected", [
-        ("classification", False, 4), ("reconstruction", False, 4),
-        ("classification", True, 1), ("reconstruction", True, 1)])
-    def test_weight_bank_calls_per_step(self, task, tied, expected, rng,
-                                        monkeypatch):
+    @pytest.mark.parametrize("task", ["classification", "reconstruction"])
+    def test_weight_bank_calls_per_step(self, task, rng, monkeypatch):
         calls = []
         original = GroupConvLayer.weight_bank
         monkeypatch.setattr(GroupConvLayer, "weight_bank",
                             lambda layer: calls.append(layer) or
                             original(layer))
-        net = tiny_network(task=task, rng=rng, num_layers=4, tied=tied)
+        net = tiny_network(task=task, rng=rng, num_layers=4)
         x = Tensor(rng.random((2, 1, 8, 8)))
         training_loss(net, x, rng.integers(0, 10, 2), mu=0.01).backward()
-        assert len(calls) == expected
-        assert calls == net.unique_layers()
+        assert calls == net.layers
 
     def test_reconstruction_uses_layer_zero_bank(self, rng):
         from orbitnet.conv import conv2d_adjoint
@@ -749,14 +737,6 @@ class TestOneBankPerStep:
         assert len(banks) == 3
         np.testing.assert_array_equal(
             out.data, conv2d_adjoint(codes[-1], banks[0]).data)
-
-    def test_tied_network_returns_one_bank(self, rng):
-        net = tiny_network(rng=rng, num_layers=4, tied=True)
-        x = Tensor(rng.random((2, 1, 8, 8)))
-        codes, banks = net.encode(x)
-        assert len(codes) == 4 and len(banks) == 1
-        np.testing.assert_array_equal(banks[0].data,
-                                      net.layers[0].weight_bank().data)
 
 
 class TestTapeMemory:
