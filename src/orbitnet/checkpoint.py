@@ -83,6 +83,9 @@ def load_checkpoint(path):
         except UnicodeDecodeError as err:
             raise CheckpointError(f"{path}: tensor name at byte {offset} is "
                                   f"not UTF-8: {err.reason}") from None
+        if name in arrays:
+            raise CheckpointError(f"{path}: tensor name {name!r} appears "
+                                  f"twice")
         offset += name_len
         (ndim,) = unpack("<B", offset)
         offset += 1

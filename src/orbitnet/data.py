@@ -145,7 +145,8 @@ def load_mnist(root, split="train"):
         raise DatasetFormatError(
             f"{label_path}: {labels.shape[0]} labels for "
             f"{images.shape[0]} images")
-    floats = images.astype(np.float64)[:, None, :, :] / 255.0
+    floats = images.astype(np.float64)[:, None, :, :]
+    floats /= 255.0   # in place: the peak holds one float64 copy
     return ImageDataset(floats, labels.astype(np.int64))
 
 
@@ -167,7 +168,8 @@ def load_cifar10(root, split="train"):
         records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, _CIFAR_RECORD)
         labels.append(records[:, 0])
         images.append(records[:, 1:].reshape(-1, 3, 32, 32))
-    images = np.concatenate(images).astype(np.float64) / 255.0
+    images = np.concatenate(images).astype(np.float64)
+    images /= 255.0
     labels = np.concatenate(labels).astype(np.int64)
     return ImageDataset(images, labels)
 
@@ -322,16 +324,6 @@ def synthesize_cifar10_like(root, n_train=6000, n_test=1000, seed=0):
 
 # -- patches and transforms -----------------------------------------------------
 
-def extract_patch(image, rng):
-    """Random PATCH x PATCH patch, top-left corner uniform over positions."""
-    h, w = image.shape[-2:]
-    if h < PATCH or w < PATCH:
-        raise ValueError(f"image {h}x{w} smaller than {PATCH}x{PATCH} patch")
-    top = int(rng.integers(0, h - PATCH + 1))
-    left = int(rng.integers(0, w - PATCH + 1))
-    return image[..., top:top + PATCH, left:left + PATCH]
-
-
 def rotate_patch(patch, theta_deg):
     """Rotate about the patch center with bilinear interpolation, zero fill.
 
@@ -456,14 +448,20 @@ def load_pairs_csv(path):
 def transform_pair_dataset(images, transform, num_pairs, rng):
     """(vec(patch), vec(transform(patch))) pairs as rows of X and Y.
 
-    Patches are drawn from random images at random positions; multichannel
-    patches contribute one sample per channel, and the last patch may be
-    cut short. The transform runs once on the stacked planes.
+    Each patch draws an image, then a top-left corner uniform over the
+    positions; one `rng.integers` call makes every patch's three draws, in
+    the order and from the stream that three scalar draws per patch use.
+    Multichannel patches contribute one sample per channel, and the last
+    patch may be cut short. The transform runs once on the stacked planes.
     """
-    n, c = images.shape[0], images.shape[1]
+    n, c, h, w = images.shape
+    if h < PATCH or w < PATCH:
+        raise ValueError(f"image {h}x{w} smaller than {PATCH}x{PATCH} patch")
     count = -(-num_pairs // c)
-    patches = np.empty((count, c, PATCH, PATCH))
-    for k in range(count):
-        patches[k] = extract_patch(images[int(rng.integers(0, n))], rng)
+    bounds = np.tile([n, h - PATCH + 1, w - PATCH + 1], count)
+    image, top, left = rng.integers(0, bounds).reshape(count, 3).T
+    windows = np.lib.stride_tricks.sliding_window_view(
+        images, (PATCH, PATCH), axis=(2, 3))
+    patches = windows[image, :, top, left].astype(np.float64, copy=False)
     planes = patches.reshape(count * c, PATCH, PATCH)[:num_pairs]
     return vec(planes), vec(transform.apply(planes))

@@ -52,8 +52,18 @@ def _pairs(xs, ys):
     return xs, ys
 
 
+def check_gd_options(epochs, lr):
+    """Reject an epoch count below 0 and a learning rate that is not a
+    finite positive number; ascent or NaN would still write a fit."""
+    if epochs < 0:
+        raise ValueError(f"epochs must be 0 or more, got {epochs}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be finite and positive, got {lr}")
+
+
 def fit_action_gd(xs, ys, epochs=200, lr=0.01):
     """Full-batch Adam on mean ||y - A x||^2; no bias, no nonlinearity."""
+    check_gd_options(epochs, lr)
     xs, ys = _pairs(xs, ys)
     n, d = xs.shape
     if n < d:

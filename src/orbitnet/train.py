@@ -25,7 +25,8 @@ from .config import DATA_SOURCES, DATASETS, RunConfig, load_config
 from .groups import invertibility_residual, order_defect
 from .network import UnfoldedNetwork, add_invertibility_penalty, task_loss
 from .optim import Adam, lr_at
-from .probe import analytic_operator, fit_action_gd, fit_action_lstsq
+from .probe import (analytic_operator, check_gd_options, fit_action_gd,
+                    fit_action_lstsq)
 from .tensor import Tensor
 
 SYNTHETIC_SEED = 0   # dataset synthesis is fixed, independent of the run seed
@@ -122,8 +123,9 @@ def run_training(cfg: RunConfig, out_dir=None):
     order = rng.permutation(len(dataset))
     if cfg.subset is not None:
         order = order[:cfg.subset]
-    images = dataset.images[order].astype(cfg.precision)
+    images = dataset.images[order].astype(cfg.precision, copy=False)
     labels = dataset.labels[order]
+    del dataset   # only the subset is trained on
 
     net = build_network(cfg, images.shape[1], rng)
     opt = Adam(net.parameters(), lr=cfg.lr)
@@ -193,6 +195,10 @@ def run_synthetic(out_dir="runs/synthetic", data_root="data",
                   epochs=200, lr=0.01, transforms=None, run_gd=True,
                   dataset="cifar10", save_pairs=False):
     """Fit every grid cell by least squares and (optionally) gradient descent."""
+    for name, value in (("num_pairs", num_pairs), ("holdout", holdout)):
+        if value < 1:
+            raise ValueError(f"{name} must be 1 or more, got {value}")
+    check_gd_options(epochs, lr)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ds = resolve_dataset(dataset, data_root, data_source)
@@ -243,9 +249,14 @@ def run_analysis(checkpoint_path, out_dir, config_path=None):
         config_path = checkpoint_path.parent / "config.json"
     cfg = replace(load_config(config_path), precision="float64")
     arrays = load_checkpoint(checkpoint_path)
-    net = build_network(cfg, arrays["layers.0.bases.0"].shape[0],
+    # without its first basis the checkpoint fails below, as a missing tensor
+    first = arrays.get("layers.0.bases.0")
+    net = build_network(cfg, 1 if first is None else first.shape[0],
                         np.random.default_rng(cfg.seed))
-    net.load_state_arrays(arrays)
+    try:
+        net.load_state_arrays(arrays)
+    except (KeyError, ValueError) as err:
+        raise type(err)(f"{checkpoint_path}: {err.args[0]}") from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports = []

@@ -115,6 +115,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match=re.escape(str(path))):
             load_checkpoint(path)
 
+    def test_repeated_name_names_the_path_and_the_name(self, tmp_path):
+        path = tmp_path / "twice.ckpt"
+        tensor = b"w" + struct.pack("<BI", 1, 1)
+        path.write_bytes(MAGIC + struct.pack("<IIH", 1, 2, 1) + tensor
+                         + struct.pack("<dH", 1.0, 1) + tensor
+                         + struct.pack("<d", 2.0))
+        with pytest.raises(CheckpointError,
+                           match=re.escape(str(path)) + r".*'w'"):
+            load_checkpoint(path)
+
     def test_trailing_garbage_rejected(self, tmp_path, rng):
         path = tmp_path / "g.ckpt"
         save_checkpoint(path, {"w": rng.standard_normal(4)})

@@ -348,6 +348,22 @@ class TestSyntheticCommand:
         np.testing.assert_array_equal(got_x, xs[:40])
         np.testing.assert_array_equal(got_y, ys[:40])
 
+    @pytest.mark.parametrize("option, value", [
+        ("num_pairs", 0), ("num_pairs", -5), ("holdout", 0), ("epochs", -3),
+        ("lr", -1.0), ("lr", 0.0), ("lr", float("nan")), ("lr", float("inf"))])
+    def test_unusable_argument_rejected(self, tmp_path, option, value):
+        with pytest.raises(ValueError, match=rf"^{option} "):
+            run_synthetic(tmp_path / "syn", data_root=tmp_path / "data",
+                          data_source="synthetic", **{option: value})
+        assert not (tmp_path / "syn").exists()
+
+    def test_negative_lr_flag_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="^lr "):
+            main(["synthetic", "--lr", "-1", "--data-source", "synthetic",
+                  "--data-root", str(tmp_path / "data"),
+                  "--out", str(tmp_path / "syn")])
+        assert not (tmp_path / "syn").exists()
+
     def test_config_flag_rejected(self, tmp_path, capsys):
         # the grid takes no RunConfig, so a config file would be ignored
         with pytest.raises(SystemExit):
@@ -432,6 +448,17 @@ class TestAnalyzeCommand:
         analyze = self.analyze_with(tmp_path, out, saved, num_groups=3)
         with pytest.raises(KeyError, match=r"layers\.0\.groups\.2\.A"):
             analyze()
+        assert not (tmp_path / "an").exists()
+
+    def test_missing_first_basis_names_the_tensor_and_path(self, tmp_path):
+        out, _ = self.trained_run(tmp_path)
+        arrays = load_checkpoint(out / "final.ckpt")
+        del arrays["layers.0.bases.0"]
+        save_checkpoint(out / "final.ckpt", arrays)
+        with pytest.raises(KeyError) as err:
+            run_analysis(out / "final.ckpt", tmp_path / "an")
+        assert str(out / "final.ckpt") in str(err.value)
+        assert "missing tensors ['layers.0.bases.0']" in str(err.value)
         assert not (tmp_path / "an").exists()
 
     def test_invalid_config_rejected(self, tmp_path):

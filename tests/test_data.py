@@ -13,7 +13,7 @@ import pytest
 from orbitnet import data
 from orbitnet.cli import main
 from orbitnet.data import (DatasetFormatError, PatchTransform,
-                           avgpool_patch, extract_patch, load_cifar10,
+                           avgpool_patch, load_cifar10,
                            load_mnist, read_idx, rotate_patch,
                            synthesize_cifar10_like, synthesize_mnist_like,
                            transform_pair_dataset, write_cifar_batch,
@@ -119,6 +119,22 @@ class TestSplits:
         make(tmp_path, n_train=10, n_test=5, seed=0)
         with pytest.raises(ValueError, match=r"'validation'.*'train'.*'test'"):
             loader(tmp_path, "validation")
+
+
+class TestLoaderMemory:
+    @pytest.mark.parametrize("loader, make", [
+        (load_mnist, synthesize_mnist_like),
+        (load_cifar10, synthesize_cifar10_like)])
+    def test_peak_holds_one_float_copy(self, tmp_path, loader, make):
+        import tracemalloc
+        make(tmp_path, n_train=200, n_test=5, seed=0)
+        tracemalloc.start()
+        try:
+            ds = loader(tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * ds.images.nbytes
 
 
 class TestSyntheticStandIns:
@@ -301,32 +317,35 @@ class TestRealCifar:
         assert test.images.shape == (10000, 3, 32, 32)
 
 
-class TestExtractPatch:
+class TestPatchDraws:
+    IDENTITY = PatchTransform.pooling(1)
+
     def test_exact_size_image_returns_itself(self, rng):
-        img = rng.random((6, 6))
-        np.testing.assert_array_equal(extract_patch(img, rng), img)
+        images = rng.random((1, 1, 6, 6))
+        xs, ys = transform_pair_dataset(images, self.IDENTITY, 3, rng)
+        for row in (*xs, *ys):
+            np.testing.assert_array_equal(row, vec(images[0, 0]))
 
     def test_corner_bounds(self, rng):
-        img = np.zeros((28, 28))
-        img[22, 22] = 1.0   # only visible from the bottom-right-most corner
-        seen_corner = False
-        for _ in range(500):
-            patch = extract_patch(img, rng)
-            assert patch.shape == (6, 6)
-            if patch[0, 0] == 1.0:
-                seen_corner = True
-        assert seen_corner
+        images = np.zeros((1, 1, 28, 28))
+        # only visible from the bottom-right-most corner
+        images[0, 0, 22, 22] = 1.0
+        xs, _ = transform_pair_dataset(images, self.IDENTITY, 500, rng)
+        assert xs.shape == (500, 36)
+        assert np.any(xs[:, 0] == 1.0)  # vec index 0 is patch[0, 0]
 
     def test_seeded_determinism(self):
-        img = np.arange(28.0 * 28).reshape(28, 28)
-        a = [extract_patch(img, np.random.default_rng(5)) for _ in range(3)]
-        b = [extract_patch(img, np.random.default_rng(5)) for _ in range(3)]
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa, pb)
+        images = np.arange(2 * 28.0 * 28).reshape(2, 1, 28, 28)
+        a_rng, b_rng = np.random.default_rng(5), np.random.default_rng(5)
+        a = transform_pair_dataset(images, self.IDENTITY, 3, a_rng)
+        b = transform_pair_dataset(images, self.IDENTITY, 3, b_rng)
+        np.testing.assert_array_equal(a[0], b[0])
+        assert a_rng.bit_generator.state == b_rng.bit_generator.state
 
-    def test_undersized_rejected(self, rng):
-        with pytest.raises(ValueError):
-            extract_patch(np.zeros((5, 6)), rng)
+    @pytest.mark.parametrize("shape", [(2, 1, 5, 6), (2, 3, 6, 5)])
+    def test_undersized_rejected(self, rng, shape):
+        with pytest.raises(ValueError, match="smaller than 6x6"):
+            transform_pair_dataset(np.zeros(shape), self.IDENTITY, 4, rng)
 
 
 def brute_force_rotate(patch, theta_deg):
@@ -521,10 +540,13 @@ class TestPatchTransform:
 def reference_pairs(images, transform, num_pairs, rng):
     """Per-plane pair loop: one image/position draw per patch, then one
     transform call per channel plane."""
-    n, c = images.shape[0], images.shape[1]
+    n, c, h, w = images.shape
     xs, ys = [], []
     while len(xs) < num_pairs:
-        patch = extract_patch(images[int(rng.integers(0, n))], rng)
+        image = images[int(rng.integers(0, n))]
+        top = int(rng.integers(0, h - 5))
+        left = int(rng.integers(0, w - 5))
+        patch = image[:, top:top + 6, left:left + 6]
         for plane in patch[:num_pairs - len(xs)]:
             xs.append(vec(plane))
             ys.append(vec(transform.apply(plane)))

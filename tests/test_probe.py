@@ -120,6 +120,14 @@ class TestGradientFit:
             fit_action_gd(xs, ys, epochs=10)
 
 
+    @pytest.mark.parametrize("option, value", [
+        ("lr", -1.0), ("lr", 0.0), ("lr", float("nan")), ("lr", float("inf")),
+        ("epochs", -3)])
+    def test_unusable_option_rejected(self, option, value, rng):
+        xs = rng.random((50, 36))
+        with pytest.raises(ValueError, match=rf"^{option} "):
+            fit_action_gd(xs, xs, **{option: value})
+
 @pytest.mark.parametrize("fit", [fit_action_lstsq, fit_action_gd])
 class TestPairShapes:
     def test_fewer_target_columns_rejected(self, fit, rng):
