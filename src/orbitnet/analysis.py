@@ -12,9 +12,8 @@ Like the diagnostics in `groups`, each score takes one matrix or a
 [..., d, d] stack and gives each matrix's own value bit for bit.
 """
 
-import json
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,9 +123,6 @@ class StructureReport:
     quadrant_signs: list
     identity_probe: list
 
-    def to_json(self):
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
 
 def structure_report(action, layer=0):
     """The K reports of a layer's [K, d, d] generator stack, in group order."""
@@ -167,20 +163,18 @@ def load_csv(path):
 
 
 def save_heatmap_pgm(path, matrix):
-    """8-bit grayscale PGM on a signed-symmetric scale, plus a JSON sidecar.
+    """8-bit grayscale PGM mapping -vmax..+vmax to 0..255 (zero at 127.5).
 
-    The scale maps -vmax..+vmax to 0..255 with zero at mid-gray; vmax is
-    max|entry| and is recorded in `<path>.json`.
+    vmax is max|entry|, 1 for an all-zero matrix; the header carries it as
+    the comment `# vmax <repr>`, which PGM readers skip.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    vmax = float(np.max(np.abs(matrix)))
-    scale = vmax if vmax > 0 else 1.0
+    scale = float(np.max(np.abs(matrix))) or 1.0
+    if not np.isfinite(scale):
+        raise ValueError(f"{path}: no heatmap scale for non-finite entries")
     pixels = np.round((matrix / scale + 1.0) * 127.5).astype(np.uint8)
-    header = f"P5\n{matrix.shape[1]} {matrix.shape[0]}\n255\n"
+    header = "P5\n# vmax %r\n%d %d\n255\n" % (scale, *matrix.shape[::-1])
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(pixels.tobytes())
-    sidecar = {"vmin": -scale, "vmax": scale, "zero_level": 127.5}
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
 

@@ -8,6 +8,7 @@ libraries initialize their thread pools.
 import argparse
 import os
 import sys
+import warnings
 
 from .config import (DATA_SOURCES, DATASETS, LOSS_VARIANTS, PRECISIONS, TASKS,
                      load_config)
@@ -88,6 +89,9 @@ def build_parser():
 def _set_threads(count):
     if count is None:
         return
+    if "numpy" in sys.modules:
+        warnings.warn("--threads came after numpy loaded: the BLAS thread "
+                      "count is not pinned", RuntimeWarning, stacklevel=3)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         os.environ[var] = str(count)
@@ -120,11 +124,9 @@ def cmd_analyze(args):
 
 
 def cmd_fetch(args):
-    from .data import fetch_cifar10, fetch_mnist
-    if args.dataset == "mnist":
-        fetch_mnist(args.data_root)
-    else:
-        fetch_cifar10(args.data_root)
+    from .data import DATASET_IO
+    *_, fetch = DATASET_IO[args.dataset]
+    fetch(args.data_root)
     print(f"{args.dataset} ready under {args.data_root}")
     return 0
 

@@ -322,6 +322,13 @@ def synthesize_cifar10_like(root, n_train=6000, n_test=1000, seed=0):
     write_cifar_batch(out / "test_batch.bin", test_images, test_labels)
 
 
+# name -> (loader, synthesizer, fetcher), keyed like config.DATASETS
+DATASET_IO = {
+    "mnist": (load_mnist, synthesize_mnist_like, fetch_mnist),
+    "cifar10": (load_cifar10, synthesize_cifar10_like, fetch_cifar10),
+}
+
+
 # -- patches and transforms -----------------------------------------------------
 
 def rotate_patch(patch, theta_deg):

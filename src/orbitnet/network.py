@@ -286,7 +286,7 @@ class UnfoldedNetwork:
         return state
 
     def load_state_arrays(self, state):
-        """Restore from `state`, which must name exactly this model's tensors."""
+        """Restore from `state`: exactly this model's tensors, all finite."""
         expected = set(self.state_arrays())
         missing = sorted(expected - set(state))
         if missing:
@@ -295,6 +295,9 @@ class UnfoldedNetwork:
         if extra:
             raise ValueError(f"checkpoint has tensors the model does not "
                              f"have: {extra}")
+        bad = sorted(k for k, v in state.items() if not np.all(np.isfinite(v)))
+        if bad:
+            raise ValueError(f"checkpoint has non-finite tensors {bad}")
         for name, (p, index) in self._checkpoint_slots().items():
             if state[name].shape != p.data[index].shape:
                 raise ValueError(

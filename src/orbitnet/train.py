@@ -47,30 +47,26 @@ def resolve_dataset(name, root, source, split="train"):
         raise ValueError(f"unknown data source {source!r}: expected one of "
                          f"{DATA_SOURCES}")
     root = Path(root)
-    loader = datamod.load_mnist if name == "mnist" else datamod.load_cifar10
-    if source in ("auto", "files"):
-        try:
-            return loader(root, split)
-        except FileNotFoundError:
-            if source == "files":
-                raise
+    load, synthesize, fetch = datamod.DATASET_IO[name]
     if source == "download":
-        fetch = datamod.fetch_mnist if name == "mnist" else datamod.fetch_cifar10
         fetch(root)
-        return loader(root, split)
+    if source != "synthetic":
+        try:
+            return load(root, split)
+        except FileNotFoundError:
+            if source != "auto":
+                raise
     synth_root = root / f"synthetic-{name}"
     try:
-        return loader(synth_root, split)
+        return load(synth_root, split)
     except FileNotFoundError:
         pass
     if source == "auto":
         warnings.warn(
             f"{name} not found under {root}; generating a synthetic "
             f"stand-in at {synth_root}", RuntimeWarning, stacklevel=2)
-    make = (datamod.synthesize_mnist_like if name == "mnist"
-            else datamod.synthesize_cifar10_like)
-    make(synth_root, seed=SYNTHETIC_SEED)
-    return loader(synth_root, split)
+    synthesize(synth_root, seed=SYNTHETIC_SEED)
+    return load(synth_root, split)
 
 
 def build_network(cfg: RunConfig, in_channels, rng):
@@ -241,8 +237,8 @@ def run_analysis(checkpoint_path, out_dir, config_path=None):
     """Structure reports and heatmaps for every group action in a checkpoint.
 
     The checkpoint is loaded, in float64, into the network that the config
-    describes; any mismatch fails before a report is written. Each layer's
-    generator stack is analysed in one `structure_report` call.
+    describes; any mismatch fails before a file is written. Each layer's
+    stack gets one `structure_report` call; `reports.json` holds them all.
     """
     checkpoint_path = Path(checkpoint_path)
     if config_path is None:
@@ -266,14 +262,11 @@ def run_analysis(checkpoint_path, out_dir, config_path=None):
         for report, a, dft in zip(layer_reports, stack,
                                   np.abs(dft_conjugate(stack))):
             stem = f"layer{li}_group{report.group}"
-            (out / f"{stem}_report.json").write_text(report.to_json())
             save_csv(out / f"{stem}_A.csv", a)
             save_heatmap_pgm(out / f"{stem}_A.pgm", a)
             save_heatmap_pgm(out / f"{stem}_probe.pgm", report.identity_probe)
             save_heatmap_pgm(out / f"{stem}_dft.pgm", dft)
         reports += layer_reports
-    index = [{k: v for k, v in asdict(r).items() if not isinstance(v, list)}
-             for r in reports]
-    (out / "index.json").write_text(json.dumps(index, indent=2,
-                                               sort_keys=True))
+    (out / "reports.json").write_text(json.dumps(
+        [asdict(r) for r in reports], indent=2, sort_keys=True))
     return reports

@@ -1,6 +1,6 @@
 """Structure analysis: DFT diagonalization, circulants, structure scores."""
 
-import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -239,8 +239,7 @@ class TestReportAndExports:
         assert report.order_defect == 0.0
         assert report.invertibility_residual == 0.0
         assert report.min_singular_value == pytest.approx(1.0, rel=1e-10)
-        parsed = json.loads(report.to_json())
-        assert parsed["dft_offdiag"] == pytest.approx(0.0, abs=1e-12)
+        assert asdict(report)["dft_offdiag"] == pytest.approx(0.0, abs=1e-12)
 
     def test_report_residual_is_the_logged_raw_residual(self, rng):
         # one definition: the raw ||A A~ - I||_F that metrics.jsonl logs
@@ -264,7 +263,7 @@ class TestReportAndExports:
             [single] = structure_report(
                 stack_action(a[k:k + 1], at[k:k + 1], 3, 4), layer=2)
             single.group = k
-            assert r.to_json() == single.to_json()
+            assert asdict(r) == asdict(single)
 
     def test_single_matrix_rejected(self):
         with pytest.raises(ValueError, match=r"\[K, d, d\] stack"):
@@ -292,13 +291,56 @@ class TestReportAndExports:
         with pytest.raises(ValueError, match="1-D or 2-D"):
             save_csv(tmp_path / "t.csv", np.zeros((2, 2, 2)))
 
-    def test_pgm_export(self, tmp_path, rng):
-        m = rng.standard_normal((6, 6))
+    @pytest.mark.parametrize("shape", [(6, 6), (3, 5)])
+    def test_pgm_export(self, shape, tmp_path, rng):
+        m = rng.standard_normal(shape)
         path = tmp_path / "m.pgm"
         save_heatmap_pgm(path, m)
-        blob = path.read_bytes()
-        assert blob.startswith(b"P5\n6 6\n255\n")
-        assert len(blob) == len(b"P5\n6 6\n255\n") + 36
-        sidecar = json.loads((tmp_path / "m.pgm.json").read_text())
-        assert sidecar["vmax"] == pytest.approx(float(np.max(np.abs(m))))
-        assert sidecar["vmin"] == -sidecar["vmax"]
+        vmax = float(np.max(np.abs(m)))
+        assert path.read_bytes().startswith(
+            f"P5\n# vmax {vmax!r}\n{shape[1]} {shape[0]}\n255\n".encode())
+        [comment], pixels = read_pgm(path)
+        name, value = comment.split()
+        assert name == "vmax" and float(value) == vmax
+        np.testing.assert_array_equal(pixels, pgm_pixels(m, vmax))
+        assert [p.name for p in tmp_path.iterdir()] == ["m.pgm"]
+
+    def test_pgm_all_zero_matrix_has_scale_one(self, tmp_path):
+        save_heatmap_pgm(tmp_path / "z.pgm", np.zeros((2, 4)))
+        [comment], pixels = read_pgm(tmp_path / "z.pgm")
+        assert comment == "vmax 1.0"
+        np.testing.assert_array_equal(pixels, pgm_pixels(np.zeros((2, 4)), 1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pgm_rejects_non_finite_entries(self, bad, tmp_path):
+        m = np.eye(3)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            save_heatmap_pgm(tmp_path / "m.pgm", m)
+        assert not any(tmp_path.iterdir())
+
+
+def pgm_pixels(m, vmax):
+    """The heatmap levels: -vmax..+vmax onto 0..255, zero at 127.5."""
+    return np.round((m / vmax + 1.0) * 127.5).astype(np.uint8)
+
+
+def read_pgm(path):
+    """A binary PGM's header comments and its pixel rows.
+
+    Lines that start with `#` are comments, which PGM readers skip; the
+    four header fields may share lines.
+    """
+    blob = path.read_bytes()
+    comments, fields, pos = [], [], 0
+    while len(fields) < 4:
+        end = blob.index(b"\n", pos)
+        line, pos = blob[pos:end], end + 1
+        if line.startswith(b"#"):
+            comments.append(line[1:].decode("ascii").strip())
+        else:
+            fields += line.split()
+    magic, width, height, maxval = fields
+    assert magic == b"P5" and maxval == b"255"
+    pixels = np.frombuffer(blob[pos:], dtype=np.uint8)
+    return comments, pixels.reshape(int(height), int(width))

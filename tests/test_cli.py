@@ -8,13 +8,13 @@ import subprocess
 import sys
 import types
 import zlib
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 import orbitnet
-from orbitnet import config
+from orbitnet import config, data
 from orbitnet.analysis import load_csv, structure_report
 from orbitnet.checkpoint import load_checkpoint, save_checkpoint
 from orbitnet.cli import build_parser, main
@@ -50,6 +50,14 @@ class TestResolveDataset:
         synthesize_mnist_like(tmp_path, n_train=15, n_test=5, seed=1)
         ds = resolve_dataset("mnist", tmp_path, "auto")
         assert len(ds) == 15
+
+    def test_dataset_table_is_keyed_like_config(self):
+        assert tuple(data.DATASET_IO) == config.DATASETS
+        assert data.DATASET_IO["mnist"] == (
+            data.load_mnist, data.synthesize_mnist_like, data.fetch_mnist)
+        assert data.DATASET_IO["cifar10"] == (
+            data.load_cifar10, data.synthesize_cifar10_like,
+            data.fetch_cifar10)
 
     def test_unknown_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="'imagenet'"):
@@ -241,6 +249,7 @@ class TestThreads:
         probe = json.loads(out.stdout.splitlines()[-1])
         assert probe["env_at_numpy_import"] == ["1"]
         assert all(n == 1 for n in probe["blas_threads"])
+        assert "not pinned" not in out.stderr
 
 
 def subparsers():
@@ -287,8 +296,10 @@ class TestParser:
         monkeypatch.setattr(train, "run_synthetic",
                             lambda **kw: calls.append(kw) or "out")
         main(["synthetic"])
-        main(["synthetic", "--no-gd", "--out", "o", "--seed", "2",
-              "--threads", "1"])
+        # numpy is loaded in this process, so --threads cannot take effect
+        with pytest.warns(RuntimeWarning, match="thread count is not pinned"):
+            main(["synthetic", "--no-gd", "--out", "o", "--seed", "2",
+                  "--threads", "1"])
         assert calls == [{}, {"run_gd": False, "out_dir": "o", "seed": 2}]
         defaults = {k: p.default for k, p in
                     inspect.signature(run_synthetic).parameters.items()}
@@ -372,6 +383,21 @@ class TestSyntheticCommand:
         assert "--config" in capsys.readouterr().err
         assert not (tmp_path / "syn").exists()
 
+    def test_default_grid_writes_each_result_once(self, tmp_path):
+        kwargs = dict(data_root=tmp_path / "data", data_source="synthetic",
+                      num_pairs=40, holdout=10, epochs=2)
+        stems = [f"{t.label()}_{fit}" for t in paper_transform_grid()
+                 for fit in ("analytic", "lstsq", "gd")]
+        expected = {f"{stem}.{ext}" for stem in stems
+                    for ext in ("csv", "pgm")} | {"manifest.json"}
+        assert len(expected) == 67
+        out = run_synthetic(tmp_path / "syn", **kwargs)
+        assert {p.name for p in out.iterdir()} == expected
+        out = run_synthetic(tmp_path / "pairs", save_pairs=True, **kwargs)
+        pairs = {f"{t.label()}_pairs.csv" for t in paper_transform_grid()}
+        assert len(expected | pairs) == 78
+        assert {p.name for p in out.iterdir()} == expected | pairs
+
     def test_rerun_same_seed_byte_identical_manifest(self, tmp_path):
         kwargs = dict(data_root=tmp_path / "data", data_source="synthetic",
                       num_pairs=120, holdout=30, epochs=3, seed=11,
@@ -397,8 +423,8 @@ class TestAnalyzeCommand:
             assert report.skew == 0.0
             assert report.order_defect == pytest.approx(0.0, abs=1e-12)
             np.testing.assert_array_equal(report.identity_probe, np.eye(3))
-        index = json.loads((tmp_path / "analysis" / "index.json").read_text())
-        assert len(index) == 4
+        saved = (tmp_path / "analysis" / "reports.json").read_text()
+        assert json.loads(saved) == [asdict(r) for r in reports]
 
     def test_injected_circulant_diagonalizes(self, tmp_path):
         from orbitnet.analysis import circulant_from_diagonal
@@ -416,11 +442,17 @@ class TestAnalyzeCommand:
     def test_expected_artifacts_exist(self, tmp_path):
         cfg = tiny_config(tmp_path, epochs=1)
         out = run_training(cfg)
-        run_analysis(out / "final.ckpt", tmp_path / "an3")
-        for stem in ("layer0_group0", "layer1_group1"):
-            for suffix in ("_report.json", "_A.csv", "_A.pgm", "_probe.pgm",
-                           "_dft.pgm"):
-                assert (tmp_path / "an3" / f"{stem}{suffix}").exists()
+        reports = run_analysis(out / "final.ckpt", tmp_path / "an3")
+        expected = {f"layer{li}_group{k}{suffix}"
+                    for li in range(2) for k in range(2)
+                    for suffix in ("_A.csv", "_A.pgm", "_probe.pgm",
+                                   "_dft.pgm")} | {"reports.json"}
+        assert len(expected) == 4 * 4 + 1
+        assert {p.name for p in (tmp_path / "an3").iterdir()} == expected
+        saved = json.loads((tmp_path / "an3" / "reports.json").read_text())
+        assert [(r["layer"], r["group"]) for r in saved] == \
+            [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert saved == [asdict(r) for r in reports]
 
     def trained_run(self, tmp_path, **kwargs):
         out = run_training(tiny_config(tmp_path, epochs=1, **kwargs))
@@ -461,6 +493,21 @@ class TestAnalyzeCommand:
         assert "missing tensors ['layers.0.bases.0']" in str(err.value)
         assert not (tmp_path / "an").exists()
 
+    @pytest.mark.parametrize("name, value", [
+        ("layers.1.groups.0.A", np.nan), ("layers.0.bases.1", np.inf),
+        ("bn.0.running_var", -np.inf)])
+    def test_non_finite_tensor_names_the_tensor_and_path(self, tmp_path,
+                                                         name, value):
+        out, _ = self.trained_run(tmp_path)
+        arrays = load_checkpoint(out / "final.ckpt")
+        arrays[name].flat[0] = value
+        save_checkpoint(out / "final.ckpt", arrays)
+        with pytest.raises(ValueError) as err:
+            run_analysis(out / "final.ckpt", tmp_path / "an")
+        assert str(out / "final.ckpt") in str(err.value)
+        assert f"non-finite tensors [{name!r}]" in str(err.value)
+        assert not (tmp_path / "an").exists()
+
     def test_invalid_config_rejected(self, tmp_path):
         out, saved = self.trained_run(tmp_path)
         analyze = self.analyze_with(tmp_path, out, saved, epochs=-5)
@@ -476,8 +523,8 @@ class TestAnalyzeCommand:
         analyze = self.analyze_with(tmp_path, out, saved,
                                     squared_frobenius=False, one_sided=True,
                                     tied=False)
-        assert [r.to_json() for r in analyze()] == \
-            [r.to_json() for r in reports]
+        assert [asdict(r) for r in analyze()] == \
+            [asdict(r) for r in reports]
 
     @pytest.mark.parametrize("key, value", [("squared_frobenius", True),
                                             ("one_sided", False),
@@ -520,8 +567,8 @@ class TestAnalyzeCommand:
                       for name in ("A", "A_tilde")]
             action = GroupAction(Tensor(stacks[0]), Tensor(stacks[1]), 2, 3, 3)
             expected += structure_report(action, li)
-        assert [r.to_json() for r in reports] == \
-            [r.to_json() for r in expected]
+        assert [asdict(r) for r in reports] == \
+            [asdict(r) for r in expected]
 
     def test_float32_run_logs_the_analysed_diagnostics(self, tmp_path):
         out, _ = self.trained_run(tmp_path, precision="float32",
