@@ -59,7 +59,7 @@ def offdiag_energy(m):
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected square matrices, got shape {m.shape}")
     power = np.abs(m) ** 2
-    total = power.reshape(*m.shape[:-2], -1).sum(axis=-1)
+    total = power.reshape(*m.shape[:-2], m.shape[-1] ** 2).sum(axis=-1)
     diag = power.diagonal(0, -2, -1).sum(axis=-1)
     zero = total == 0.0
     if np.any(zero):

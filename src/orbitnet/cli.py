@@ -9,9 +9,9 @@ import argparse
 import os
 import sys
 import warnings
+from dataclasses import fields
 
-from .config import (DATA_SOURCES, DATASETS, LOSS_VARIANTS, PRECISIONS, TASKS,
-                     load_config)
+from .config import CHOICES, DATA_SOURCES, DATASETS, RunConfig, load_config
 
 
 def _thread_count(text):
@@ -46,15 +46,12 @@ def build_parser():
     train = sub.add_parser("train", help="train a network and checkpoint it")
     _add_common(train)
     train.add_argument("--config", help="JSON file with RunConfig fields")
-    train.add_argument("--dataset", choices=DATASETS)
-    train.add_argument("--task", choices=TASKS)
-    train.add_argument("--epochs", type=int)
-    train.add_argument("--subset", type=int)
-    train.add_argument("--batch-size", type=int)
-    train.add_argument("--mu", type=float)
-    train.add_argument("--loss-variant", choices=LOSS_VARIANTS)
-    train.add_argument("--lr", type=float)
-    train.add_argument("--precision", choices=PRECISIONS)
+    # every other RunConfig field is one flag, named after the field
+    common = {action.dest for action in train._actions}
+    for f in fields(RunConfig):
+        if f.name not in common:
+            train.add_argument("--" + f.name.replace("_", "-"), type=f.type,
+                               choices=CHOICES.get(f.name))
 
     # unset options stay out of args, so run_synthetic's defaults apply
     synth = sub.add_parser("synthetic", argument_default=argparse.SUPPRESS,

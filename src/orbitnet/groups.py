@@ -163,7 +163,7 @@ def svd_invertibility_loss(action, mu, variant="svd_sum"):
 
 def _frobenius(m):
     """||M||_F per matrix by one BLAS dot each, as `np.linalg.norm` takes."""
-    flat = m.reshape(*m.shape[:-2], -1)
+    flat = m.reshape(*m.shape[:-2], m.shape[-2] * m.shape[-1])
     return np.sqrt(np.vecdot(flat, flat))
 
 

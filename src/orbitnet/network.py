@@ -104,9 +104,9 @@ class GroupConvLayer:
     """One unfolding step: K groups of p filters each.
 
     Trainables: `action`, whose A and A_tilde are [K, d, d] stacks with
-    d = n*m; one [C, n, m] basis filter stack per group (one n x m filter
-    per input channel; the group's generator acts channel-wise); and one
-    threshold per output filter.
+    d = n*m, or [0, d, d] at p = 1, whose one-filter orbits apply no
+    generator; one [C, n, m] basis filter stack per group (the generator
+    acts channel-wise); and one threshold per output filter.
     """
 
     def __init__(self, in_channels, num_groups, group_order, filter_size,
@@ -122,7 +122,8 @@ class GroupConvLayer:
         n = m = filter_size
         scale = 0.1 / np.sqrt(in_channels * n * m)
         self.action = GroupAction.initialize(
-            n, m, group_order, rng, dtype=dtype, stack=(num_groups,))
+            n, m, group_order, rng, dtype=dtype,
+            stack=(num_groups if group_order > 1 else 0,))
         self.bases = [
             parameter(scale * rng.standard_normal((in_channels, n, m)),
                       dtype=dtype)

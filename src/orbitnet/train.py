@@ -122,6 +122,9 @@ def run_training(cfg: RunConfig, out_dir=None):
     images = dataset.images[order].astype(cfg.precision, copy=False)
     labels = dataset.labels[order]
     del dataset   # only the subset is trained on
+    if cfg.filter_size > min(images.shape[-2:]):
+        raise ValueError(f"filter_size {cfg.filter_size} is larger than the "
+                         f"{images.shape[-2]}x{images.shape[-1]} images")
 
     net = build_network(cfg, images.shape[1], rng)
     opt = Adam(net.parameters(), lr=cfg.lr)

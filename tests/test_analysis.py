@@ -10,7 +10,9 @@ from orbitnet.analysis import (circulant_from_diagonal, dft_conjugate,
                                offdiag_energy, quadrant_signs, save_csv,
                                save_heatmap_pgm, skew_score, structure_report,
                                toeplitz_project, toeplitz_score)
-from orbitnet.groups import GroupAction, linear_map_to_matrix
+from orbitnet.groups import (GroupAction, invertibility_residual,
+                             linear_map_to_matrix, min_singular_value,
+                             order_defect)
 from orbitnet.tensor import Tensor
 
 
@@ -223,6 +225,19 @@ class TestStackedScores:
         assert values[1] == 0.0
         assert values[0] == offdiag_energy(m[0])
         assert values[2] == offdiag_energy(m[2])
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_empty_stack_gives_empty_scores(self, order):
+        # a group_order = 1 layer holds a [0, d, d] stack
+        a = np.zeros((0, 36, 36))
+        g = stack_action(a, a, order=order)
+        for score in self.SCORES:
+            assert np.shape(score(a))[0] == 0
+        for diagnostic in (order_defect, invertibility_residual,
+                           min_singular_value):
+            assert diagnostic(g).shape == (0,)
+        assert identity_probe(g).shape == (0, 6, 6)
+        assert structure_report(g) == []
 
 
 def stack_action(a, at, order=4, n=6):

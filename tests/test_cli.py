@@ -18,7 +18,7 @@ from orbitnet import config, data
 from orbitnet.analysis import load_csv, structure_report
 from orbitnet.checkpoint import load_checkpoint, save_checkpoint
 from orbitnet.cli import build_parser, main
-from orbitnet.config import RunConfig
+from orbitnet.config import RunConfig, load_config
 from orbitnet.groups import GroupAction
 from orbitnet.tensor import Tensor
 from orbitnet.data import PatchTransform, synthesize_mnist_like
@@ -140,6 +140,13 @@ class TestTraining:
                            match=r"^epoch 0, batch 0: non-finite gradient "
                                  r"for 'layers\.0\.A'"):
             run_training(tiny_config(tmp_path))
+
+    def test_filter_larger_than_images_fails_before_the_logs(self, tmp_path):
+        # 28x28 MNIST stand-in: the conv would reject the kernel at step one
+        with pytest.raises(ValueError, match=r"filter_size 29 .* 28x28"):
+            run_training(tiny_config(tmp_path, filter_size=29))
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
+        assert not (tmp_path / "run" / "timing.jsonl").exists()
 
     def test_reconstruction_task_runs(self, tmp_path):
         cfg = tiny_config(tmp_path, task="reconstruction", epochs=1)
@@ -282,10 +289,29 @@ class TestParser:
         assert args.threads == 2
 
     def test_train_options_are_config_fields(self):
-        names = {f.name for f in fields(RunConfig)}
+        # every RunConfig field has exactly one train flag, and nothing else
+        names = [f.name for f in fields(RunConfig)]
+        flags = {}
         for action in subparsers()["train"]._actions:
             if action.dest not in ("help", "config", "threads"):
                 assert action.dest in names, action.option_strings
+                assert action.dest not in flags, action.option_strings
+                flags[action.dest] = action.option_strings
+        assert sorted(flags) == sorted(names)
+        assert flags.pop("out_dir") == ["--out"]
+        assert flags == {name: ["--" + name.replace("_", "-")]
+                         for name in flags}
+
+    def test_train_flags_reach_the_config_typed(self):
+        args = build_parser().parse_args(
+            ["train", "--num-layers", "2", "--num-groups", "3",
+             "--group-order", "1", "--filter-size", "5", "--alpha", "0.5",
+             "--mu", "0", "--task", "reconstruction", "--out", "o"])
+        cfg = load_config(None, vars(args))
+        assert (cfg.num_layers, cfg.num_groups, cfg.group_order,
+                cfg.filter_size, cfg.alpha, cfg.mu, cfg.task, cfg.out_dir) == \
+            (2, 3, 1, 5, 0.5, 0.0, "reconstruction", "o")
+        assert type(cfg.num_groups) is int and type(cfg.alpha) is float
 
     def test_synthetic_defaults_are_run_synthetic_defaults(self, monkeypatch):
         import orbitnet.train as train
@@ -599,6 +625,34 @@ class TestAnalyzeCommand:
         assert len(reports) == 6
         assert [args[0].a.shape for args in calls["report"]] == [(2, 9, 9)] * 3
         assert [args[0].shape for args in calls["svd"]] == [(2, 9, 9)] * 3
+
+    def test_free_filter_run_trains_and_analyses(self, tmp_path, capsys):
+        # group_order = 1: no generators to checkpoint, log or analyse
+        run = tmp_path / "run"
+        assert main(["train", "--group-order", "1", "--num-layers", "2",
+                     "--num-groups", "2", "--filter-size", "3",
+                     "--epochs", "2", "--subset", "64",
+                     "--data-source", "synthetic",
+                     "--data-root", str(tmp_path / "d"),
+                     "--out", str(run)]) == 0
+        names = load_checkpoint(run / "final.ckpt")
+        assert "layers.1.bases.1" in names
+        assert not any(".groups." in name for name in names)
+        records = [json.loads(line) for line in
+                   (run / "metrics.jsonl").read_text().splitlines()]
+        assert len(records) == 2
+        for record in records:
+            assert np.isfinite(record["task_loss"])
+            assert record["invertibility_residual_per_group"] == []
+            assert record["order_defect_per_group"] == []
+        capsys.readouterr()
+        assert main(["analyze", str(run / "final.ckpt"),
+                     "--out", str(tmp_path / "an")]) == 0
+        assert capsys.readouterr().out == ""
+        assert [p.name for p in (tmp_path / "an").iterdir()] == \
+            ["reports.json"]
+        assert json.loads((tmp_path / "an" / "reports.json").read_text()) \
+            == []
 
     def test_checkpoint_version_guard(self, tmp_path):
         cfg = tiny_config(tmp_path, epochs=0)

@@ -399,16 +399,14 @@ class TestUnfoldedNetwork:
         assert net.forward(x).shape == (2, 1, 8, 8)
 
     def test_perfect_reconstruction_hits_task_floor(self, rng):
-        # identity-like single layer reconstructs exactly; with A = A_tilde = I
-        # the total training loss collapses to the MSE floor of zero
+        # identity-like single layer reconstructs exactly; at p = 1 it holds
+        # no generator, so the total training loss is the MSE floor of zero
         net = tiny_network(task="reconstruction", rng=rng, num_layers=1,
                            num_groups=1, group_order=1, filter_size=1,
                            alpha=1.0)
         layer = net.layers[0]
         layer.bases[0].data = np.ones((1, 1, 1))
         layer.lam.data = np.zeros(1)
-        layer.action.a.data = np.eye(1)[None]
-        layer.action.a_tilde.data = np.eye(1)[None]
         x = Tensor(rng.random((2, 1, 8, 8)) + 0.1)
         loss = training_loss(net, x, mu=0.001)
         assert loss.item() == pytest.approx(0.0, abs=1e-20)
@@ -516,13 +514,15 @@ class TestFloat32Tape:
     """A float32 network computes in float32 from the input to the loss."""
 
     VARIANTS = ("aux_inverse", "svd_sum", "svd_logdet")
+    ORDER = 2
+    MIN_TAPE = 50
 
-    @staticmethod
-    def step(dtype, variant):
+    @classmethod
+    def step(cls, dtype, variant):
         rng = np.random.default_rng(5)
         net = UnfoldedNetwork("classification", in_channels=3, num_layers=2,
-                              num_groups=2, group_order=2, filter_size=3,
-                              alpha=0.7, rng=rng, dtype=dtype)
+                              num_groups=2, group_order=cls.ORDER,
+                              filter_size=3, alpha=0.7, rng=rng, dtype=dtype)
         x = Tensor(rng.random((4, 3, 16, 16)).astype(dtype))
         loss = training_loss(net, x, rng.integers(0, 10, 4), mu=0.01,
                              loss_variant=variant)
@@ -533,7 +533,7 @@ class TestFloat32Tape:
     def test_every_tape_tensor_is_float32(self, variant):
         _, loss = self.step(np.float32, variant)
         tape = _tape(loss)
-        assert len(tape) > 50
+        assert len(tape) > self.MIN_TAPE
         upcast = [t for t in tape if t.dtype != np.float32]
         assert not upcast, f"{len(upcast)} of {len(tape)} tensors upcast"
 
@@ -549,8 +549,18 @@ class TestFloat32Tape:
                 assert p.grad is None
                 continue
             assert p.grad.dtype == np.float32
+            if ref.size == 0:   # a p = 1 layer's empty generator stack
+                assert p.grad.shape == ref.shape
+                continue
             err = np.linalg.norm(p.grad - ref) / np.linalg.norm(ref)
             assert err < 1e-2, f"{name}: relative gradient error {err:.2e}"
+
+
+class TestFloat32TapeFreeFilter(TestFloat32Tape):
+    """The same checks for the free-filter baseline, group_order = 1."""
+
+    ORDER = 1
+    MIN_TAPE = 40
 
 
 def test_unknown_loss_variant_raises_through_both_entry_points(rng):
@@ -711,6 +721,54 @@ class TestStackedGenerators:
         training_loss(net, x, rng.integers(0, 10, 2), mu=0.01,
                       loss_variant=variant)
         assert calls == [(5, 9, 9)] * 4
+
+
+class TestFreeFilterBaseline:
+    """group_order = 1: one-filter orbits, so no generator in any layer."""
+
+    @pytest.mark.parametrize("groups, count, tensors",
+                             [(5, 1580, 41), (20, 6290, 101)])
+    def test_layers_hold_empty_generator_stacks(self, groups, count, tensors,
+                                                rng):
+        net = UnfoldedNetwork("classification", 1, 4, groups, 1, 6, 0.01, rng)
+        for layer in net.layers:
+            assert layer.action.a.shape == (0, 36, 36)
+            assert layer.action.a_tilde.shape == (0, 36, 36)
+        assert sum(p.size for p in net.parameters().values()) == count
+        state = net.state_arrays()
+        assert len(state) == tensors
+        assert not any(".groups." in name for name in state)
+
+    def test_bases_are_the_first_draws(self):
+        layer = GroupConvLayer(2, 3, 1, 3, 0.5, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        scale = 0.1 / np.sqrt(2 * 9)
+        for basis in layer.bases:
+            assert np.array_equal(basis.data,
+                                  scale * rng.standard_normal((2, 3, 3)))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_bank_is_the_stacked_bases(self, channels, dtype, rng):
+        layer = GroupConvLayer(channels, 5, 1, 6, 0.5, rng, dtype=dtype)
+        bank = layer.weight_bank().data
+        expected = np.stack([basis.data for basis in layer.bases])
+        assert bank.dtype == dtype
+        assert bank.shape == expected.shape == (5, channels, 6, 6)
+        assert np.array_equal(bank, expected)
+
+    @pytest.mark.parametrize("variant", ["aux_inverse", "svd_sum",
+                                         "svd_logdet"])
+    def test_penalty_adds_nothing(self, variant, rng):
+        net = tiny_network(rng=rng, num_groups=3, group_order=1)
+        x = Tensor(rng.random((2, 1, 8, 8)))
+        labels = rng.integers(0, 10, 2)
+        task = task_loss(net, x, labels).item()
+        total = training_loss(net, x, labels, mu=0.5, loss_variant=variant)
+        assert total.item() == task
+        total.backward()
+        for layer in net.layers:
+            assert layer.action.a.grad.shape == (0, 9, 9)
 
 
 class TestOneBankPerStep:
