@@ -1,6 +1,7 @@
 """Run configuration: defaults, JSON loading, and up-front validation."""
 
 import json
+import math
 from dataclasses import dataclass, fields, asdict
 
 TASKS = ("classification", "reconstruction")
@@ -68,6 +69,8 @@ class RunConfig:
             elif f.name in CHOICES and value not in CHOICES[f.name]:
                 problems.append(f"{f.name} must be one of {CHOICES[f.name]}, "
                                 f"got {value!r}")
+            elif f.name in ("alpha", "lr", "mu") and not math.isfinite(value):
+                problems.append(f"{f.name} must be finite, got {value!r}")
             elif f.name in MINIMUM and value < MINIMUM[f.name]:
                 problems.append(f"{f.name} must be >= {MINIMUM[f.name]}")
             elif f.name in ("alpha", "lr") and value <= 0:

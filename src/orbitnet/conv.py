@@ -156,10 +156,6 @@ def avg_pool_to(x, out_h, out_w):
             f"spatial size {h}x{wd} not divisible by pool target {out_h}x{out_w}")
     bh, bw = h // out_h, wd // out_w
     y = x.data.reshape(n, c, out_h, bh, out_w, bw).mean(axis=(3, 5))
-
-    def backward(g):
-        spread = np.broadcast_to(
-            g[:, :, :, None, :, None] / (bh * bw),
-            (n, c, out_h, bh, out_w, bw))
-        x._accumulate(spread.reshape(n, c, h, wd))
-    return Tensor._result(y, (x,), backward)
+    return Tensor._node(y, (x,), lambda g: np.broadcast_to(
+        g[:, :, :, None, :, None] / (bh * bw),
+        (n, c, out_h, bh, out_w, bw)).reshape(n, c, h, wd))

@@ -287,23 +287,30 @@ class UnfoldedNetwork:
         return state
 
     def load_state_arrays(self, state):
-        """Restore from `state`: exactly this model's tensors, all finite."""
-        expected = set(self.state_arrays())
-        missing = sorted(expected - set(state))
+        """Restore exactly this model's tensors, all checked before a write."""
+        slots = self._checkpoint_slots()
+        shapes = {name: p.data[index].shape
+                  for name, (p, index) in slots.items()}
+        for i, bn in enumerate(self.bns):
+            for field in ("running_mean", "running_var", "initialized"):
+                shapes[f"bn.{i}.{field}"] = np.shape(getattr(bn, field))
+        missing = sorted(set(shapes) - set(state))
         if missing:
             raise KeyError(f"checkpoint is missing tensors {missing}")
-        extra = sorted(set(state) - expected)
+        extra = sorted(set(state) - set(shapes))
         if extra:
             raise ValueError(f"checkpoint has tensors the model does not "
                              f"have: {extra}")
         bad = sorted(k for k, v in state.items() if not np.all(np.isfinite(v)))
         if bad:
             raise ValueError(f"checkpoint has non-finite tensors {bad}")
-        for name, (p, index) in self._checkpoint_slots().items():
-            if state[name].shape != p.data[index].shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: checkpoint has "
-                    f"{state[name].shape}, model expects {p.data[index].shape}")
+        for name, shape in shapes.items():
+            got = state[name].shape
+            # a flag saved before 0-d shapes were kept has shape (1,)
+            if got != shape and (shape, got) != ((), (1,)):
+                raise ValueError(f"shape mismatch for {name!r}: checkpoint "
+                                 f"has {got}, model expects {shape}")
+        for name, (p, index) in slots.items():
             p.data[index] = state[name]
         for i, bn in enumerate(self.bns):
             bn.running_mean = state[f"bn.{i}.running_mean"].astype(bn.running_mean.dtype)

@@ -39,7 +39,5 @@ def singular_values(a):
     """
     a = Tensor._lift(a)
     u, sigma, v = jacobi_svd(a.data)
-
-    def backward(g):
-        a._accumulate((u * g[..., None, :]) @ np.swapaxes(v, -1, -2))
-    return Tensor._result(sigma.astype(a.dtype), (a,), backward)
+    return Tensor._node(sigma.astype(a.dtype), (a,), lambda g:
+                        (u * g[..., None, :]) @ np.swapaxes(v, -1, -2))

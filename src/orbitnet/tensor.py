@@ -7,6 +7,14 @@ tensor created with ``requires_grad=True``. The tape is a plain DAG of
 parent links; there is no graph optimization, and a graph belongs to a
 single training run (see the concurrency notes in the README).
 
+An op is its forward value plus one vector-Jacobian product (vjp) per
+parent, built by ``Tensor._node``, which sums each vjp back to its parent's
+shape and skips a parent that needs no gradient. Five nodes keep their own
+backward, as their parents share work or the node picks a route: ``@``
+(four operand-rank cases), ``soft_threshold`` (one mask serves u and lam),
+``stack`` (one split of g), the conv correlation (z first, to keep the
+summation order) and ``BatchNorm2d`` (one rebuilt x_hat serves all three).
+
 Default precision is float64. float32 is supported for training by
 constructing parameters with ``dtype=np.float32``; gradients follow the
 data dtype. A Python ``int`` or ``float`` met by a binary op (``alpha * t``,
@@ -131,12 +139,20 @@ class Tensor:
     @staticmethod
     def _result(data, parents, backward):
         """Create an op output; drops the tape when no parent needs grad."""
-        track = _grad_enabled and any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=track,
-                     _parents=tuple(parents) if track else ())
-        if track:
+        out = Tensor(data, requires_grad=any(p.requires_grad for p in parents),
+                     _parents=tuple(parents))
+        if out.requires_grad:
             out._backward = backward
         return out
+
+    @staticmethod
+    def _node(data, parents, *vjps):
+        """Op output whose backward sends `vjps[i](g)` to parent i."""
+        def backward(g):
+            for parent, vjp in zip(parents, vjps):
+                if parent.requires_grad:
+                    parent._accumulate(_unbroadcast(vjp(g), parent.shape))
+        return Tensor._result(data, parents, backward)
 
     def _accumulate(self, grad):
         # grads are never mutated in place, so storing a view or a shared
@@ -180,63 +196,33 @@ class Tensor:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        other = Tensor._lift(other, self)
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.shape))
-        return Tensor._result(a.data + b.data, (a, b), backward)
+        a, b = self, Tensor._lift(other, self)
+        return Tensor._node(a.data + b.data, (a, b), lambda g: g, lambda g: g)
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self
-
-        def backward(g):
-            a._accumulate(-g)
-        return Tensor._result(-a.data, (a,), backward)
+        return Tensor._node(-self.data, (self,), lambda g: -g)
 
     def __sub__(self, other):
-        other = Tensor._lift(other, self)
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g, b.shape))
-        return Tensor._result(a.data - b.data, (a, b), backward)
+        a, b = self, Tensor._lift(other, self)
+        return Tensor._node(a.data - b.data, (a, b),
+                            lambda g: g, lambda g: -g)
 
     def __rsub__(self, other):
         return Tensor._lift(other, self) - self
 
     def __mul__(self, other):
-        other = Tensor._lift(other, self)
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.shape))
-        return Tensor._result(a.data * b.data, (a, b), backward)
+        a, b = self, Tensor._lift(other, self)
+        return Tensor._node(a.data * b.data, (a, b),
+                            lambda g: g * b.data, lambda g: g * a.data)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = Tensor._lift(other, self)
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data),
-                                           b.shape))
-        return Tensor._result(a.data / b.data, (a, b), backward)
+        a, b = self, Tensor._lift(other, self)
+        return Tensor._node(a.data / b.data, (a, b), lambda g: g / b.data,
+                            lambda g: -g * a.data / (b.data * b.data))
 
     def __rtruediv__(self, other):
         return Tensor._lift(other, self) / self
@@ -244,11 +230,8 @@ class Tensor:
     def __pow__(self, exponent):
         if not isinstance(exponent, (int, float)):
             raise TypeError("only scalar exponents are supported")
-        a, p = self, exponent
-
-        def backward(g):
-            a._accumulate(g * p * a.data ** (p - 1))
-        return Tensor._result(a.data ** p, (a,), backward)
+        return Tensor._node(self.data ** exponent, (self,), lambda g:
+                            g * exponent * self.data ** (exponent - 1))
 
     def __matmul__(self, other):
         other = Tensor._lift(other, self)
@@ -278,38 +261,26 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        old_shape = a.shape
-
-        def backward(g):
-            a._accumulate(g.reshape(old_shape))
-        return Tensor._result(a.data.reshape(shape), (a,), backward)
+        old_shape = self.shape
+        return Tensor._node(self.data.reshape(shape), (self,),
+                            lambda g: g.reshape(old_shape))
 
     def transpose(self, axes=None):
-        a = self
         if axes is None:
-            axes = tuple(range(a.ndim))[::-1]
+            axes = tuple(range(self.ndim))[::-1]
         inverse = tuple(np.argsort(axes))
-
-        def backward(g):
-            a._accumulate(g.transpose(inverse))
-        return Tensor._result(a.data.transpose(axes), (a,), backward)
+        return Tensor._node(self.data.transpose(axes), (self,),
+                            lambda g: g.transpose(inverse))
 
     # -- reductions ----------------------------------------------------------
 
     def sum(self, axis=None, keepdims=False):
-        a = self
-        shape = a.shape
-
-        def backward(g):
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, shape))
-                return
-            if not keepdims:
-                g = np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(g, shape))
-        return Tensor._result(a.data.sum(axis=axis, keepdims=keepdims),
-                              (a,), backward)
+        shape = self.shape
+        squeezed = axis is not None and not keepdims
+        return Tensor._node(
+            self.data.sum(axis=axis, keepdims=keepdims), (self,),
+            lambda g: np.broadcast_to(
+                np.expand_dims(g, axis) if squeezed else g, shape))
 
     def mean(self, axis=None, keepdims=False):
         total = self.sum(axis, keepdims)
@@ -371,21 +342,16 @@ def soft_threshold(u, lam, one_sided=False, in_place=False):
 
 def log(x):
     x = Tensor._lift(x)
-
-    def backward(g):
-        x._accumulate(g / x.data)
-    return Tensor._result(np.log(x.data), (x,), backward)
+    return Tensor._node(np.log(x.data), (x,), lambda g: g / x.data)
 
 
 def frobenius_norm(x, axis=None):
     """sqrt(sum(x**2)) over `axis`; a zero slice gets a zero subgradient."""
     x = Tensor._lift(x)
     norm = np.sqrt(np.sum(x.data * x.data, axis=axis, keepdims=True))
-
-    def backward(g):
-        x._accumulate(g.reshape(norm.shape) * x.data
-                      / np.where(norm > 0, norm, 1))
-    return Tensor._result(np.squeeze(norm, axis=axis), (x,), backward)
+    return Tensor._node(np.squeeze(norm, axis=axis), (x,),
+                        lambda g: g.reshape(norm.shape) * x.data
+                        / np.where(norm > 0, norm, 1))
 
 
 def stack(tensors, axis=0):
@@ -413,11 +379,11 @@ def cross_entropy(logits, labels):
     logp = z - lse
     loss = -logp[np.arange(n), labels].mean()
 
-    def backward(g):
+    def vjp(g):
         grad = np.exp(logp)
         grad[np.arange(n), labels] -= 1.0
-        logits._accumulate(g * grad / n)
-    return Tensor._result(np.asarray(loss, dtype=z.dtype), (logits,), backward)
+        return g * grad / n
+    return Tensor._node(np.asarray(loss, dtype=z.dtype), (logits,), vjp)
 
 
 def gradient_of(loss, params):

@@ -116,9 +116,10 @@ def run_training(cfg: RunConfig, out_dir=None):
 
     rng = np.random.default_rng(cfg.seed)
     dataset = resolve_dataset(cfg.dataset, cfg.data_root, cfg.data_source)
-    order = rng.permutation(len(dataset))
-    if cfg.subset is not None:
-        order = order[:cfg.subset]
+    if cfg.subset is not None and cfg.subset > len(dataset):
+        raise ValueError(f"subset {cfg.subset} is larger than the "
+                         f"{len(dataset)}-image training split")
+    order = rng.permutation(len(dataset))[:cfg.subset]
     images = dataset.images[order].astype(cfg.precision, copy=False)
     labels = dataset.labels[order]
     del dataset   # only the subset is trained on

@@ -148,6 +148,14 @@ class TestTraining:
         assert not (tmp_path / "run" / "metrics.jsonl").exists()
         assert not (tmp_path / "run" / "timing.jsonl").exists()
 
+    def test_subset_larger_than_the_split_fails_before_the_logs(self,
+                                                                tmp_path):
+        # the synthetic MNIST stand-in has 6,000 training images
+        with pytest.raises(ValueError, match=r"subset 6001 .* 6000"):
+            run_training(tiny_config(tmp_path, subset=6001))
+        assert not (tmp_path / "run" / "metrics.jsonl").exists()
+        assert not (tmp_path / "run" / "timing.jsonl").exists()
+
     def test_reconstruction_task_runs(self, tmp_path):
         cfg = tiny_config(tmp_path, task="reconstruction", epochs=1)
         out = run_training(cfg)

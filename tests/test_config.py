@@ -1,6 +1,7 @@
 """Run configuration defaults and validation."""
 
 import json
+import math
 
 import pytest
 
@@ -58,6 +59,18 @@ class TestValidation:
         message = rf"invalid configuration:\s+{field} must be a "
         with pytest.raises(ValueError, match=message):
             load_config(path)
+
+    @pytest.mark.parametrize("field", ["alpha", "lr", "mu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rate_rejected(self, field, value, tmp_path):
+        # json.load reads NaN and Infinity, and --lr nan parses as a float
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: value}))
+        message = rf"invalid configuration:\s+{field} must be finite"
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
+        with pytest.raises(ValueError, match=message):
+            load_config(overrides={field: value})
 
     @pytest.mark.parametrize("value", [["svd_sum"], {"svd_sum": 1}])
     def test_unhashable_loss_variant_rejected(self, value, tmp_path):

@@ -1,5 +1,7 @@
 """Unfolded network: layer semantics, heads, losses, gradients."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -705,6 +707,22 @@ class TestStackedGenerators:
         state["layers.1.groups.4.A"] = np.eye(9)
         with pytest.raises(ValueError, match=r"layers\.1\.groups\.4\.A"):
             net.load_state_arrays(state)
+
+    @pytest.mark.parametrize("name, shape", [
+        ("head.weight", (10, 7)), ("layers.1.groups.1.A", (9, 8)),
+        ("bn.0.running_mean", (7,)), ("bn.0.running_var", (4, 1)),
+        ("bn.0.initialized", (2,))])
+    def test_misfit_tensor_fails_before_any_write(self, name, shape, rng):
+        net = tiny_network(rng=rng, num_layers=2, num_groups=2)
+        before = {k: v.copy() for k, v in net.state_arrays().items()}
+        state = {k: np.asarray(rng.standard_normal(v.shape))
+                 for k, v in before.items()}
+        state[name] = np.ones(shape)
+        message = f"shape mismatch for {name!r}: checkpoint has {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            net.load_state_arrays(state)
+        for k, v in net.state_arrays().items():
+            assert np.array_equal(v, before[k]), k
 
     @pytest.mark.parametrize("variant", ["aux_inverse", "svd_sum"])
     def test_one_penalty_call_per_layer(self, variant, rng, monkeypatch):

@@ -1,12 +1,15 @@
 """Autodiff core: op semantics, adjoint identities, finite-difference checks."""
 
+import operator
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from orbitnet.gradcheck import check_gradients
+from orbitnet.conv import avg_pool_to
+from orbitnet.gradcheck import check_gradients, numerical_gradient
+from orbitnet.svd import singular_values
 from orbitnet.tensor import (Tensor, _unbroadcast, cross_entropy,
                              frobenius_norm, gradient_of, log, no_grad,
                              parameter, soft_threshold, stack)
@@ -207,6 +210,16 @@ class TestBasicGradients:
         bias = parameter(rng.standard_normal(3))
         check_gradients(lambda: ((x + bias) ** 2).sum(),
                         {"x": x, "bias": bias})
+        # +, -, * and / with the broadcast operand on either side; both
+        # operands lie in [0.5, 1.5), so either can be the divisor
+        wide = parameter(rng.random((5, 3)) + 0.5)
+        for shape in [(3,), (5, 1)]:
+            narrow = parameter(rng.random(shape) + 0.5)
+            for op in (operator.add, operator.sub, operator.mul,
+                       operator.truediv):
+                for a, b in [(wide, narrow), (narrow, wide)]:
+                    check_gradients(lambda: (op(a, b) ** 2).sum(),
+                                    {"wide": wide, "narrow": narrow})
 
     def test_matmul_vector_cases(self, rng):
         a = parameter(rng.standard_normal((4, 3)))
@@ -284,6 +297,54 @@ class TestCrossEntropy:
         labels = rng.integers(0, 4, size=5)
         check_gradients(lambda: cross_entropy(logits, labels),
                         {"logits": logits})
+
+
+# ops built by Tensor._node: name -> (shape of the trainable parent p, shape
+# of the data parent d or None, the op); a binary op's p broadcasts against d
+NODE_OPS = {
+    "add": ((3,), (4, 3), lambda p, d: p + d),
+    "radd": ((3,), (4, 3), lambda p, d: d + p),
+    "neg": ((4, 3), None, lambda p, d: -p),
+    "sub": ((4, 1), (4, 3), lambda p, d: p - d),
+    "rsub": ((4, 1), (4, 3), lambda p, d: d - p),
+    "mul": ((1, 3), (2, 4, 3), lambda p, d: p * d),
+    "rmul": ((1, 3), (2, 4, 3), lambda p, d: d * p),
+    "div": ((3,), (4, 3), lambda p, d: p / d),
+    "rdiv": ((3,), (4, 3), lambda p, d: d / p),
+    "pow": ((4, 3), None, lambda p, d: p ** 1.5),
+    "reshape": ((4, 3), None, lambda p, d: p.reshape(2, 6)),
+    "transpose": ((2, 4, 3), None, lambda p, d: p.transpose((1, 2, 0))),
+    "sum": ((2, 4, 3), None, lambda p, d: p.sum(axis=1)),
+    "mean": ((2, 4, 3), None, lambda p, d: p.mean(axis=(0, 2),
+                                                   keepdims=True)),
+    "log": ((4, 3), None, lambda p, d: log(p)),
+    "frobenius_norm": ((4, 3), None, lambda p, d: frobenius_norm(p, axis=1)),
+    "cross_entropy": ((3, 4), None, lambda p, d: cross_entropy(p, [0, 3, 1])),
+    "avg_pool_to": ((1, 2, 4, 6), None, lambda p, d: avg_pool_to(p, 2, 3)),
+    "singular_values": ((2, 3, 3), None, lambda p, d: singular_values(p)),
+}
+
+
+class TestOneVjpPerParent:
+    @pytest.mark.parametrize("name", list(NODE_OPS))
+    def test_only_the_trainable_parent_gets_its_own_shape(self, name, rng):
+        p_shape, d_shape, op = NODE_OPS[name]
+        p = parameter(rng.random(p_shape) + 0.5)
+        d = None if d_shape is None else Tensor(rng.random(d_shape) + 0.5)
+        loss = lambda: (op(p, d) ** 2).sum()
+        loss().backward()
+        assert p.grad.shape == p_shape
+        np.testing.assert_allclose(p.grad, numerical_gradient(loss, p),
+                                   rtol=1e-6)
+        assert d is None or d.grad is None
+
+    @pytest.mark.parametrize("name", list(NODE_OPS))
+    def test_data_parents_leave_no_tape(self, name, rng):
+        p_shape, d_shape, op = NODE_OPS[name]
+        d = None if d_shape is None else Tensor(rng.random(d_shape) + 0.5)
+        out = op(Tensor(rng.random(p_shape) + 0.5), d)
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
 
 
 class TestBackwardContract:
