@@ -60,10 +60,10 @@ def build_parser():
     _add_common(synth)
     synth.add_argument("--dataset", choices=DATASETS)
     synth.add_argument("--num-pairs", type=int)
-    synth.add_argument("--epochs", type=int)
+    synth.add_argument("--epochs", type=int,
+                       help="gradient-descent epochs per cell (0 skips the "
+                            "gradient fit)")
     synth.add_argument("--lr", type=float)
-    synth.add_argument("--no-gd", dest="run_gd", action="store_false",
-                       help="skip the gradient-descent fits")
     synth.add_argument("--save-pairs", action="store_true",
                        help="persist each cell's training pairs as CSV "
                             "(36 input + 36 target columns per row)")

@@ -372,12 +372,14 @@ def avgpool_patch(patch, radius):
 
     Acts on the last two axes of a [..., s, s] stack. Even windows are
     biased toward the top-left; border windows average the in-bounds
-    pixels only.
+    pixels only. A window of side 1 is the identity and returns a copy.
     """
     patch = np.asarray(patch, dtype=np.float64)
     s = patch.shape[-1]
     if not 1 <= radius <= s:
         raise ValueError(f"window side {radius} outside 1..{s}")
+    if radius == 1:
+        return patch.copy()
     lo = -(radius // 2)
     hi = lo + radius - 1
     out = np.empty_like(patch)
@@ -392,10 +394,10 @@ def avgpool_patch(patch, radius):
 
 @dataclass
 class PatchTransform:
-    """A linear transform on square patches.
+    """A linear transform on square patches: pooling first, then rotation.
 
-    kind is one of "rotate", "avgpool", "compose"; composition applies
-    pooling first, then rotation.
+    kind ("rotate", "avgpool" or "compose") only names the cell; a
+    rotation pools with a window of side 1, a pooling rotates by 0.
     """
 
     kind: str
@@ -422,13 +424,7 @@ class PatchTransform:
         return f"compose_r{self.radius}_t{self.theta:g}"
 
     def apply(self, patch):
-        if self.kind == "rotate":
-            return rotate_patch(patch, self.theta)
-        if self.kind == "avgpool":
-            return avgpool_patch(patch, self.radius)
-        if self.kind == "compose":
-            return rotate_patch(avgpool_patch(patch, self.radius), self.theta)
-        raise ValueError(f"unknown transform kind: {self.kind!r}")
+        return rotate_patch(avgpool_patch(patch, self.radius), self.theta)
 
     def operator(self):
         """36x36 matrix in the vec basis, from one stacked `apply`."""

@@ -110,10 +110,6 @@ def run_training(cfg: RunConfig, out_dir=None):
     names the parameter) is re-raised with the epoch and batch index.
     """
     cfg.validate()
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(cfg.to_json())
-
     rng = np.random.default_rng(cfg.seed)
     dataset = resolve_dataset(cfg.dataset, cfg.data_root, cfg.data_source)
     if cfg.subset is not None and cfg.subset > len(dataset):
@@ -130,6 +126,10 @@ def run_training(cfg: RunConfig, out_dir=None):
     net = build_network(cfg, images.shape[1], rng)
     opt = Adam(net.parameters(), lr=cfg.lr)
 
+    # a run that fails a check above leaves the output directory untouched
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(cfg.to_json())
     metrics_path = out / "metrics.jsonl"
     timing_path = out / "timing.jsonl"
     with open(metrics_path, "w") as metrics, open(timing_path, "w") as timing:
@@ -192,16 +192,17 @@ def paper_transform_grid():
 
 def run_synthetic(out_dir="runs/synthetic", data_root="data",
                   data_source="auto", seed=0, num_pairs=10000, holdout=1000,
-                  epochs=200, lr=0.01, transforms=None, run_gd=True,
-                  dataset="cifar10", save_pairs=False):
-    """Fit every grid cell by least squares and (optionally) gradient descent."""
+                  epochs=200, lr=0.01, transforms=None, dataset="cifar10",
+                  save_pairs=False):
+    """Fit each grid cell by least squares, and by gradient descent if
+    `epochs` is above 0."""
     for name, value in (("num_pairs", num_pairs), ("holdout", holdout)):
         if value < 1:
             raise ValueError(f"{name} must be 1 or more, got {value}")
     check_gd_options(epochs, lr)
+    ds = resolve_dataset(dataset, data_root, data_source)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ds = resolve_dataset(dataset, data_root, data_source)
     manifest = {"seed": seed, "num_pairs": num_pairs, "holdout": holdout,
                 "dataset": dataset, "cells": []}
     for transform in (transforms if transforms is not None
@@ -222,7 +223,7 @@ def run_synthetic(out_dir="runs/synthetic", data_root="data",
         entry = {"label": label, "kind": transform.kind,
                  "theta": transform.theta, "radius": transform.radius}
         fits = {"lstsq": fit_action_lstsq(train_x, train_y)}
-        if run_gd:
+        if epochs:
             fits["gd"] = fit_action_gd(train_x, train_y, epochs=epochs, lr=lr)
         for name, fit in fits.items():
             fit.compare(reference, hold_x, hold_y)

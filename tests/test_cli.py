@@ -156,6 +156,21 @@ class TestTraining:
         assert not (tmp_path / "run" / "metrics.jsonl").exists()
         assert not (tmp_path / "run" / "timing.jsonl").exists()
 
+    @pytest.mark.parametrize("failing", [{"subset": 6001},
+                                         {"filter_size": 29}])
+    def test_failed_check_leaves_the_out_directory_untouched(self, tmp_path,
+                                                              failing):
+        # a finished run, then one in the same directory that fails a check
+        out = run_training(tiny_config(tmp_path, epochs=1))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(ValueError):
+            run_training(tiny_config(tmp_path, lr=0.5, **failing))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        with pytest.raises(ValueError):
+            run_training(tiny_config(tmp_path, out_dir=str(tmp_path / "new"),
+                                     **failing))
+        assert not (tmp_path / "new").exists()
+
     def test_reconstruction_task_runs(self, tmp_path):
         cfg = tiny_config(tmp_path, task="reconstruction", epochs=1)
         out = run_training(cfg)
@@ -289,7 +304,7 @@ class TestParser:
     @pytest.mark.parametrize("command", [
         ["train"], ["synthetic"], ["analyze", "final.ckpt", "--out", "an"]])
     def test_threads_below_one_rejected(self, command, capsys):
-        for value in ("0", "-2"):
+        for value in ("0", "-2", "abc", "1.5"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(command + ["--threads", value])
             assert "1 or more" in capsys.readouterr().err
@@ -332,16 +347,16 @@ class TestParser:
         main(["synthetic"])
         # numpy is loaded in this process, so --threads cannot take effect
         with pytest.warns(RuntimeWarning, match="thread count is not pinned"):
-            main(["synthetic", "--no-gd", "--out", "o", "--seed", "2",
+            main(["synthetic", "--epochs", "0", "--out", "o", "--seed", "2",
                   "--threads", "1"])
-        assert calls == [{}, {"run_gd": False, "out_dir": "o", "seed": 2}]
+        assert calls == [{}, {"epochs": 0, "out_dir": "o", "seed": 2}]
         defaults = {k: p.default for k, p in
                     inspect.signature(run_synthetic).parameters.items()}
         assert defaults == {
             "out_dir": "runs/synthetic", "data_root": "data",
             "data_source": "auto", "seed": 0, "num_pairs": 10000,
             "holdout": 1000, "epochs": 200, "lr": 0.01, "transforms": None,
-            "run_gd": True, "dataset": "cifar10", "save_pairs": False}
+            "dataset": "cifar10", "save_pairs": False}
 
 
 def test_package_re_exports_nothing():
@@ -384,7 +399,7 @@ class TestSyntheticCommand:
         label = transform.label()
         out = run_synthetic(tmp_path / "syn", data_root=tmp_path / "data",
                             data_source="synthetic", num_pairs=40, holdout=10,
-                            seed=5, transforms=[transform], run_gd=False,
+                            seed=5, transforms=[transform], epochs=0,
                             save_pairs=True)
         ds = resolve_dataset("cifar10", tmp_path / "data", "synthetic")
         rng = np.random.default_rng((5, zlib.crc32(label.encode())))
@@ -401,6 +416,30 @@ class TestSyntheticCommand:
             run_synthetic(tmp_path / "syn", data_root=tmp_path / "data",
                           data_source="synthetic", **{option: value})
         assert not (tmp_path / "syn").exists()
+
+    @pytest.mark.parametrize("option", [{"dataset": "imagenet"},
+                                        {"data_source": "bogus"}])
+    def test_unknown_dataset_fails_before_the_out_directory(self, tmp_path,
+                                                             option):
+        with pytest.raises(ValueError, match="^unknown "):
+            run_synthetic(tmp_path / "syn", data_root=tmp_path / "data",
+                          **{"data_source": "synthetic"} | option)
+        assert not (tmp_path / "syn").exists()
+
+    def test_zero_epochs_skips_the_gradient_fit(self, tmp_path):
+        assert main(["synthetic", "--epochs", "0", "--num-pairs", "40",
+                     "--data-source", "synthetic",
+                     "--data-root", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "syn")]) == 0
+        out = tmp_path / "syn"
+        stems = {f"{t.label()}_{fit}" for t in paper_transform_grid()
+                 for fit in ("analytic", "lstsq")}
+        assert {p.name for p in out.iterdir()} == \
+            {f"{stem}.{ext}" for stem in stems
+             for ext in ("csv", "pgm")} | {"manifest.json"}
+        cells = json.loads((out / "manifest.json").read_text())["cells"]
+        assert len(cells) == 11
+        assert all("gd" not in cell and "lstsq" in cell for cell in cells)
 
     def test_negative_lr_flag_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="^lr "):

@@ -167,6 +167,24 @@ class TestStackMapToMatrix:
             stack_map_to_matrix(lambda s: s + np.roll(s, 1, axis=0), 2, 2)
 
 
+class TestGroupActionChecks:
+    @pytest.mark.parametrize("a_shape, a_tilde_shape", [
+        ((4, 4), (3, 4, 4)),    # A and A_tilde of different shapes
+        ((9, 9), (9, 9)),       # a 9x9 generator for 2x2 filters
+        ((3, 4, 9), (3, 4, 9)),  # a stack that is not d x d
+    ])
+    def test_misshapen_generator_rejected(self, a_shape, a_tilde_shape):
+        with pytest.raises(ValueError, match=r"^generator must be 4x4 for "
+                                             r"2x2 filters"):
+            GroupAction(Tensor(np.zeros(a_shape)),
+                        Tensor(np.zeros(a_tilde_shape)), 2, 2, 2)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_below_one_rejected(self, order):
+        with pytest.raises(ValueError, match="group order must be >= 1"):
+            action_from_matrix(np.eye(4), order, 2, 2)
+
+
 class TestApplyAction:
     def test_identity_action(self, rng):
         x = rng.standard_normal((3, 4))
@@ -298,6 +316,9 @@ class TestInvertibilityLoss:
         g = action_from_matrix(np.eye(4), 2, 2, 2)
         with pytest.raises(ValueError):
             invertibility_loss(g, mu=-1.0)
+        for variant in ("svd_sum", "svd_logdet"):
+            with pytest.raises(ValueError, match="nonnegative"):
+                svd_invertibility_loss(g, mu=-1.0, variant=variant)
 
     def test_differentiable_in_both(self, rng):
         g = GroupAction.initialize(2, 2, 2, rng)

@@ -455,6 +455,18 @@ except AssertionError as err:
 """
 
 
+def test_check_gradients_names_a_parameter_with_a_wrong_gradient(rng):
+    # an identity op whose vjp doubles the incoming gradient
+    p = Tensor(rng.standard_normal(3), requires_grad=True)
+    q = Tensor(rng.standard_normal(3), requires_grad=True)
+
+    def loss():
+        return (Tensor._node(p.data, (p,), lambda g: 2 * g) * p).sum() \
+            + (q * q).sum()
+    with pytest.raises(AssertionError, match=r"^gradient mismatch for 'p'"):
+        check_gradients(loss, {"q": q, "p": p})
+
+
 def test_check_gradients_raises_under_optimize_flag():
     out = subprocess.run([sys.executable, "-O", "-c", WRONG_GRADIENT],
                          capture_output=True, text=True, check=True)
